@@ -30,7 +30,9 @@ from .patterns.g2dbc import g2dbc_cost
 from .patterns.io import save_database, save_pattern
 from .patterns.library import PATTERN_FAMILIES, PatternDatabase, best_pattern
 from .patterns.sbc import sbc_cost, sbc_feasible
+from .runtime.faults import parse_faults
 from .runtime.network import NETWORK_MODELS
+from .runtime.resize import parse_resize
 from .runtime.schedulers import registered_schedulers
 
 __all__ = ["main", "build_parser"]
@@ -50,6 +52,18 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(
                 f"must be >= 0 (0 = auto-select), got {value}")
         return value
+
+    def spec_type(parse):
+        """argparse type: reject a spec ``parse`` refuses, keep its text."""
+
+        def check(text):
+            try:
+                parse(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+            return text
+
+        return check
 
     def add_search_flags(p):
         """GCR&M search-engine knobs shared by pattern-building commands."""
@@ -121,11 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheduler", choices=registered_schedulers(),
                    default="priority",
                    help="intra-node scheduling policy (scheduler registry)")
-    p.add_argument("--faults", metavar="SPEC", default="",
+    p.add_argument("--faults", type=spec_type(parse_faults), metavar="SPEC",
+                   default="",
                    help="fault plan, e.g. 'fail:2@0.05,loss:0.01,seed:7' "
                         "(fail:N@T, slow:N@T0-T1xF, degrade:T0-T1xF, loss:P, "
                         "seed:N); runs a fault-free baseline for comparison")
-    p.add_argument("--resize", metavar="P@T", default="",
+    p.add_argument("--resize", type=spec_type(parse_resize), metavar="P@T",
+                   default="",
                    help="elastic resize to P' nodes at time T, e.g. '31@0.05': "
                         "drain in-flight work, migrate tiles under the "
                         "COSTA-style minimal relabeling, finish on the P' "
@@ -152,10 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tile-size", type=int, default=500)
     p.add_argument("--jobs", "-j", type=jobs_count, default=1, metavar="N",
                    help="worker processes (1 = serial, 0 = auto-select)")
-    p.add_argument("--faults", nargs="+", default=[""], metavar="SPEC",
+    p.add_argument("--faults", nargs="+", type=spec_type(parse_faults),
+                   default=[""], metavar="SPEC",
                    help="fault-plan axis; each SPEC adds a degraded variant "
                         "of every cell ('' = fault-free)")
-    p.add_argument("--resize", nargs="+", default=[""], metavar="P@T",
+    p.add_argument("--resize", nargs="+", type=spec_type(parse_resize),
+                   default=[""], metavar="P@T",
                    help="elastic-resize axis; each 'P@T' spec adds a resized "
                         "variant of every cell ('' = no resize); cells "
                         "combining faults and resize are dropped")

@@ -23,6 +23,7 @@ import numpy as np
 
 from .cluster import ClusterSpec
 from .graph import TaskGraph
+from .schedulers import bottom_levels
 
 __all__ = [
     "GraphBounds",
@@ -59,39 +60,24 @@ class GraphBounds:
 def critical_path(graph: TaskGraph, cluster: ClusterSpec) -> float:
     """Length of the longest dependency chain.
 
-    Tasks are visited in submission order, which is a valid topological
-    order (a task can only read versions that already exist).  A
-    cross-node read adds one message time to the chain (the simulator
-    may add more under NIC contention, never less).
-
-    Runs on the flat dependency CSR and a vectorized duration column —
-    no :class:`~repro.runtime.graph.Task` objects are materialized.
+    Each task finishes its own duration after its last producer's
+    finish; a cross-node read adds one message time to the chain (the
+    simulator may add more under NIC contention, never less).  Runs as
+    one forward :func:`~repro.runtime.schedulers.bottom_levels` peel
+    over the flat dependency CSR, with the message time as edge weight.
     """
     n = len(graph)
     if n == 0:
         return 0.0
-    msg = cluster.message_time()
     cols = graph.columns
-    indptr_a, dep_a = graph.dependencies_csr()
-    indptr = indptr_a.tolist()
-    deps = dep_a.tolist()
-    node_l = cols.node.tolist()
+    indptr, deps = graph.dependencies_csr()
     dur = cols.flops / cluster.core_flops
     if cluster.node_speeds:
         dur = dur / np.asarray(cluster.node_speeds, dtype=np.float64)[cols.node]
-    dur_l = dur.tolist()
-    finish = [0.0] * n
-    for t in range(n):
-        start = 0.0
-        tn = node_l[t]
-        for p in deps[indptr[t]:indptr[t + 1]]:
-            ready = finish[p]
-            if node_l[p] != tn:
-                ready += msg
-            if ready > start:
-                start = ready
-        finish[t] = start + dur_l[t]
-    return float(max(finish))
+    consumer_node = np.repeat(cols.node, np.diff(indptr))
+    msg = np.where(cols.node[deps] != consumer_node,
+                   cluster.message_time(), 0.0)
+    return float(bottom_levels(indptr, deps, dur, msg, forward=True).max())
 
 
 def makespan_bounds(graph: TaskGraph, cluster: ClusterSpec) -> GraphBounds:

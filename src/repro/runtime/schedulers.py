@@ -61,32 +61,90 @@ __all__ = [
 TID_MASK = 0xFFFFFFFF
 
 
-def bottom_levels(indptr: np.ndarray, deps: np.ndarray,
-                  dur: np.ndarray) -> np.ndarray:
-    """Critical-path *bottom level* of every task, vectorized.
+def bottom_levels(indptr: np.ndarray, deps: np.ndarray, dur: np.ndarray,
+                  weight: Optional[np.ndarray] = None, *,
+                  forward: bool = False) -> np.ndarray:
+    """Critical-path *bottom level* of every task, in O(edges).
 
-    ``bl[t] = dur[t] + max(bl[c] for consumers c of t)`` — the longest
-    downward chain starting at ``t``, in seconds.  ``indptr``/``deps``
-    is the task→producers CSR
+    ``bl[t] = dur[t] + max(bl[c] + w_e for consumers c of t)`` — the
+    longest downward chain starting at ``t``, in seconds; ``bl[t] =
+    dur[t]`` for a sink.  ``indptr``/``deps`` is the task→producers CSR
     (:meth:`~repro.runtime.graph.TaskGraph.dependencies_csr`), so each
-    flat entry is one (consumer, producer) edge; the recurrence is
-    iterated as a vectorized fixpoint (``np.maximum.at`` over the edge
-    arrays), converging in longest-chain-many passes — O(depth) sweeps
-    of O(edges) work, no Python loop over tasks.
+    flat entry ``e`` is one (consumer, producer) edge, and ``weight[e]``
+    (default 0) is added along it.  ``forward=True`` runs the same
+    recurrence over the reversed edges: ``dur[t] + max(bl[p] + w_e for
+    producers p of t)``, the earliest finish time of ``t`` (its top
+    level plus its own duration).
+
+    Level-synchronous Kahn peel, O(edges): the frontier starts at the
+    tasks with no outgoing edge (the sinks, or the sources when
+    ``forward``); each round gathers only the frontier's outgoing edges
+    from the CSR, folds them into a running per-target max
+    (``np.maximum.at``), decrements each target's count of pending
+    edges and finalizes the targets whose count reaches zero.  Every
+    edge is touched once, in longest-chain-many rounds.
+
+    Adding ``dur[t]`` once after the max, not per edge, changes no bit:
+    ``fl(d + x)`` is monotone in ``x``, so ``max_c fl(d + x_c) ==
+    fl(d + max_c x_c)``, and a max of floats is exact in any order.  For
+    non-negative durations the result is therefore bit-identical to
+    iterating the recurrence to a fixpoint.
+
+    Raises :class:`ValueError` on a malformed CSR or a dependency cycle.
     """
+    dur = np.asarray(dur, dtype=np.float64)
     n = int(dur.shape[0])
-    bl = np.asarray(dur, dtype=np.float64).copy()
-    if n == 0 or deps.size == 0:
-        return bl
-    child = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    parent = deps
-    pdur = np.asarray(dur, dtype=np.float64)[parent]
-    while True:
-        new = bl.copy()
-        np.maximum.at(new, parent, pdur + bl[child])
-        if np.array_equal(new, bl):
-            return bl
-        bl = new
+    indptr = np.asarray(indptr, dtype=np.int64)
+    deps = np.asarray(deps, dtype=np.int64)
+    if (indptr.shape != (n + 1,) or indptr[0] != 0
+            or indptr[-1] != deps.size
+            or bool(np.any(indptr[1:] < indptr[:-1]))):
+        raise ValueError(f"malformed dependency CSR for {n} tasks")
+    if deps.size and (int(deps.min()) < 0 or int(deps.max()) >= n):
+        raise ValueError(f"dependency out of range [0, {n})")
+    if weight is not None:
+        weight = np.asarray(weight, dtype=np.float64)
+        if weight.shape != deps.shape:
+            raise ValueError("weight needs one entry per dependency edge")
+    row_len = np.diff(indptr)
+    if forward:
+        # regroup the edges by producer: value flows producer -> consumer
+        order = np.argsort(deps, kind="stable")
+        dst = np.repeat(np.arange(n, dtype=np.int64), row_len)[order]
+        if weight is not None:
+            weight = weight[order]
+        outdeg = np.bincount(deps, minlength=n)
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(outdeg, out=ptr[1:])
+    else:
+        dst, ptr, outdeg = deps, indptr, row_len
+    # edges [ptr[t], ptr[t+1]) leave t towards dst
+    pending = np.bincount(dst, minlength=n)
+    best = np.full(n, -np.inf)
+    bl = dur.copy()
+    frontier = np.flatnonzero(pending == 0)
+    reached = frontier.size
+    while frontier.size:
+        lens = outdeg[frontier]
+        ends = np.cumsum(lens)
+        # flat indices of every edge leaving the frontier
+        e = np.repeat(ptr[frontier] - (ends - lens), lens) \
+            + np.arange(ends[-1], dtype=np.int64)
+        tgt = dst[e]
+        val = np.repeat(bl[frontier], lens)
+        if weight is not None:
+            val += weight[e]
+        np.maximum.at(best, tgt, val)
+        np.subtract.at(pending, tgt, 1)
+        # a finished target appears once per edge it got this round
+        done = np.sort(tgt[pending[tgt] == 0])
+        frontier = done[np.diff(done, prepend=-1) != 0]
+        bl[frontier] = dur[frontier] + best[frontier]
+        reached += frontier.size
+    if reached != n:
+        raise ValueError(
+            f"dependency graph has a cycle: {n - reached} tasks unreachable")
+    return bl
 
 
 def _rank_keys(order: np.ndarray) -> np.ndarray:

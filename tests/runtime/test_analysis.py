@@ -1,5 +1,6 @@
 """Tests for graph bounds and the collective-communication option."""
 
+import numpy as np
 import pytest
 
 from repro.distribution import TileDistribution
@@ -7,6 +8,7 @@ from repro.dla.cholesky import build_cholesky_graph
 from repro.dla.lu import build_lu_graph
 from repro.patterns.bc2d import bc2d
 from repro.patterns.g2dbc import g2dbc
+from repro.patterns.gcrm import feasible_sizes, gcrm
 from repro.patterns.sbc import sbc
 from repro.runtime.analysis import critical_path, makespan_bounds
 from repro.runtime.cluster import ClusterSpec
@@ -52,6 +54,54 @@ class TestCriticalPath:
         slow = critical_path(g, cluster(2))
         fast = critical_path(g, cluster(2, speeds=(1.0, 2.0)))
         assert fast == pytest.approx(slow / 2)
+
+
+def loop_critical_path(graph, cluster):
+    """Reference: the per-task Python loop ``critical_path`` replaced."""
+    n = len(graph)
+    if n == 0:
+        return 0.0
+    msg = cluster.message_time()
+    cols = graph.columns
+    indptr_a, dep_a = graph.dependencies_csr()
+    indptr = indptr_a.tolist()
+    deps = dep_a.tolist()
+    node_l = cols.node.tolist()
+    dur = cols.flops / cluster.core_flops
+    if cluster.node_speeds:
+        dur = dur / np.asarray(cluster.node_speeds, dtype=np.float64)[cols.node]
+    dur_l = dur.tolist()
+    finish = [0.0] * n
+    for t in range(n):
+        start = 0.0
+        tn = node_l[t]
+        for p in deps[indptr[t]:indptr[t + 1]]:
+            ready = finish[p]
+            if node_l[p] != tn:
+                ready += msg
+            if ready > start:
+                start = ready
+        finish[t] = start + dur_l[t]
+    return float(max(finish))
+
+
+@pytest.mark.parametrize("kernel,P,m", [("lu", 5, 24), ("lu", 12, 20),
+                                        ("cholesky", 7, 24)])
+@pytest.mark.parametrize("speeds", [False, True])
+def test_critical_path_bit_identical_to_loop(kernel, P, m, speeds):
+    if kernel == "lu":
+        graph, _ = build_lu_graph(TileDistribution(g2dbc(P), m), 500)
+    else:
+        pat = gcrm(P, feasible_sizes(P)[0], seed=0).pattern
+        graph, _ = build_cholesky_graph(
+            TileDistribution(pat, m, symmetric=True), 500)
+    cl = ClusterSpec(
+        nnodes=P, cores_per_node=2, core_gflops=1.3, bandwidth_Bps=1.1e9,
+        latency_s=3e-6, tile_size=500,
+        node_speeds=tuple(1.0 + 0.37 * (i % 3) for i in range(P))
+        if speeds else ())
+    assert critical_path(graph, cl).hex() == \
+        loop_critical_path(graph, cl).hex()
 
 
 class TestBounds:

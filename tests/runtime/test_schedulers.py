@@ -290,6 +290,145 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
+# bottom levels: the O(edges) peel against the fixpoint it replaced
+# ----------------------------------------------------------------------
+def fixpoint_bottom_levels(indptr, deps, dur):
+    """Reference: the Jacobi fixpoint the level-synchronous peel
+    replaced — one ``np.maximum.at`` sweep over every edge per DAG
+    level, until nothing changes."""
+    n = int(dur.shape[0])
+    bl = np.asarray(dur, dtype=np.float64).copy()
+    if n == 0 or deps.size == 0:
+        return bl
+    child = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    parent = deps
+    pdur = np.asarray(dur, dtype=np.float64)[parent]
+    while True:
+        new = bl.copy()
+        np.maximum.at(new, parent, pdur + bl[child])
+        if np.array_equal(new, bl):
+            return bl
+        bl = new
+
+
+def loop_levels(indptr, deps, dur, weight, forward):
+    """Reference: the weighted recurrence as a per-edge Python loop over
+    the tids in topological order (reversed for bottom levels)."""
+    n = len(dur)
+    best = [-np.inf] * n
+    bl = [0.0] * n
+    for t in (range(n) if forward else reversed(range(n))):
+        if forward:
+            for e in range(indptr[t], indptr[t + 1]):
+                best[t] = max(best[t], bl[deps[e]] + weight[e])
+        bl[t] = dur[t] + best[t] if best[t] > -np.inf else dur[t]
+        if not forward:
+            for e in range(indptr[t], indptr[t + 1]):
+                p = deps[e]
+                best[p] = max(best[p], bl[t] + weight[e])
+    return np.array(bl, dtype=np.float64)
+
+
+@st.composite
+def topo_dags(draw):
+    """Random DAGs whose tids are a topological order: each task draws
+    producers (repeats allowed) among the earlier tids; durations mix
+    exact zeros with arbitrary non-negative floats."""
+    n = draw(st.integers(0, 30))
+    rows = [draw(st.lists(st.integers(0, t - 1), max_size=4)) if t else []
+            for t in range(n)]
+    dur = draw(st.lists(
+        st.sampled_from([0.0, 1.0, 0.1]) | st.floats(0.0, 1e3),
+        min_size=n, max_size=n))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    deps = np.array([p for r in rows for p in r], dtype=np.int64)
+    return indptr, deps, np.array(dur, dtype=np.float64)
+
+
+class TestBottomLevels:
+    @settings(max_examples=200, deadline=None)
+    @given(topo_dags())
+    def test_matches_fixpoint(self, dag):
+        indptr, deps, dur = dag
+        assert bottom_levels(indptr, deps, dur).tobytes() == \
+            fixpoint_bottom_levels(indptr, deps, dur).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(topo_dags(), st.booleans(), st.data())
+    def test_weighted_matches_loop(self, dag, forward, data):
+        indptr, deps, dur = dag
+        weight = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 1e-3]) | st.floats(0.0, 10.0),
+            min_size=deps.size, max_size=deps.size)), dtype=np.float64)
+        got = bottom_levels(indptr, deps, dur, weight, forward=forward)
+        want = loop_levels(indptr.tolist(), deps.tolist(), dur.tolist(),
+                           weight.tolist(), forward)
+        assert got.tobytes() == want.tobytes()
+
+    def test_duplicates_zeros_isolated_and_sinks(self):
+        # 0 <- 1 twice; 2 isolated; 3 <- 0 and 3 <- 1; sinks 2, 3, 4
+        indptr = np.array([0, 0, 2, 2, 4, 5], dtype=np.int64)
+        deps = np.array([0, 0, 0, 1, 1], dtype=np.int64)
+        dur = np.array([0.0, 2.0, 0.0, 1.5, 0.0])
+        bl = bottom_levels(indptr, deps, dur)
+        assert bl.tolist() == [3.5, 3.5, 0.0, 1.5, 0.0]
+        assert bl.tobytes() == \
+            fixpoint_bottom_levels(indptr, deps, dur).tobytes()
+
+    @pytest.mark.parametrize("kernel,P", [("lu", 5), ("lu", 7),
+                                          ("cholesky", 7)])
+    def test_real_graph_m24(self, kernel, P):
+        graph, _ = build_case(kernel, P, 24)
+        indptr, deps = graph.dependencies_csr()
+        dur = graph.columns.flops / 1e9
+        assert bottom_levels(indptr, deps, dur).tobytes() == \
+            fixpoint_bottom_levels(indptr, deps, dur).tobytes()
+
+    def test_cycle_rejected(self):
+        # 0 <- 1 and 1 <- 0; the fixpoint would spin forever
+        indptr = np.array([0, 1, 2], dtype=np.int64)
+        deps = np.array([1, 0], dtype=np.int64)
+        with pytest.raises(ValueError,
+                           match="cycle: 2 tasks unreachable"):
+            bottom_levels(indptr, deps, np.ones(2))
+
+    @pytest.mark.parametrize("indptr,deps", [
+        ([0, 1], [0]),           # indptr too short for 2 tasks
+        ([0, 1, 1], []),         # indptr[-1] != number of edges
+        ([0, 2, 1], [0]),        # decreasing indptr
+        ([0, 0, 1], [2]),        # producer out of range
+        ([0, 0, 1], [-1]),
+    ])
+    def test_malformed_csr_rejected(self, indptr, deps):
+        with pytest.raises(ValueError):
+            bottom_levels(np.array(indptr, dtype=np.int64),
+                          np.array(deps, dtype=np.int64), np.ones(2))
+
+    def test_lookahead_schedule_unchanged(self, monkeypatch):
+        """The lookahead trace and the schedule bounds come out
+        byte-identical when the fixpoint computes the bottom levels."""
+        import repro.cost.schedbounds as schedbounds
+        import repro.runtime.schedulers as schedulers
+
+        graph, home = build_case("lu", 7, M)
+
+        def canonical():
+            cluster = make_cluster(7, "lookahead")
+            trace = simulate(graph, cluster, data_home=home,
+                             record_tasks=True)
+            bounds = schedule_lower_bounds(graph, cluster, data_home=home)
+            return trace.to_canonical(), bounds.to_canonical()
+
+        peeled = canonical()
+        monkeypatch.setattr(schedulers, "bottom_levels",
+                            fixpoint_bottom_levels)
+        monkeypatch.setattr(schedbounds, "bottom_levels",
+                            fixpoint_bottom_levels)
+        assert canonical() == peeled
+
+
+# ----------------------------------------------------------------------
 # optimality-ratio edge cases
 # ----------------------------------------------------------------------
 class TestOptimalityEdges:

@@ -134,9 +134,32 @@ class TestSimulateCommand:
         assert "failed_nodes" in out
 
     def test_bad_faults_spec_fails(self, capsys):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as exc:
             main(["simulate", "-P", "6", "--tiles", "8",
                   "--tile-size", "100", "--faults", "explode:now"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --faults: bad fault directive 'explode:now'" in err
+
+    @pytest.mark.parametrize("cmd,flag,spec,message", [
+        ("simulate", "--faults", "loss:2", "msg_loss_prob must be in [0, 1)"),
+        ("simulate", "--resize", "0@1", "resize nnodes must be >= 1, got 0"),
+        ("simulate", "--resize", "7", "bad resize spec '7'"),
+        ("campaign", "--faults", "bogus", "bad fault directive 'bogus'"),
+        ("campaign", "--resize", "0@1", "resize nnodes must be >= 1, got 0"),
+    ])
+    def test_bad_spec_is_usage_error(self, capsys, cmd, flag, spec, message):
+        """Malformed --faults/--resize specs exit 2 with one error line
+        before any simulation runs, not with a traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "-P", "5", "--tiles", "8", flag, spec])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+        assert len(errors) == 1
+        assert errors[0].startswith(
+            f"repro {cmd}: error: argument {flag}: {message}")
 
     def test_no_faults_no_degraded_block(self, capsys):
         assert main(["simulate", "-P", "6", "--tiles", "8",
