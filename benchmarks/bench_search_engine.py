@@ -21,6 +21,7 @@ from repro.cost.cache import COST_CACHE
 from repro.patterns.gcrm import gcrm_cost_floor, gcrm_search
 
 from conftest import RESULTS_DIR
+from tests.patterns.gcrm_reference import reference_construction
 
 P = 35
 SEEDS = range(25)
@@ -78,27 +79,28 @@ def test_search_engine_speedup(benchmark):
 
 
 @pytest.mark.benchmark(group="search_engine")
-def test_delta_eval_speedup(benchmark):
-    """Full re-costing vs incremental delta evaluation at P = 35.
+def test_delta_eval_speedup(benchmark, monkeypatch):
+    """Reference construction vs the incremental production path at P = 35.
 
     Both runs are exhaustive (``jobs=1, prune=False``) so the winners
-    are directly comparable; the delta path must return the bit-identical
+    are directly comparable.  The reference run swaps the straightforward
+    phase 1 and matching of ``tests/patterns/gcrm_reference.py`` into
+    :mod:`repro.patterns.gcrm`; production must return the bit-identical
     winner at >= 3x the speed.  Recorded in
     ``benchmarks/results/delta_eval_speedup.txt``.
     """
     kw = dict(jobs=1, prune=False, seed=1234)
 
-    def _run(delta):
+    def _run():
         COST_CACHE.clear()
         t0 = time.perf_counter()
-        res = gcrm_search(P, seeds=SEEDS, max_factor=MAX_FACTOR,
-                          delta=delta, **kw)
+        res = gcrm_search(P, seeds=SEEDS, max_factor=MAX_FACTOR, **kw)
         return time.perf_counter() - t0, res
 
-    _run(True)  # warm imports/allocator before timing
-    full_t, full = _run(False)
-    delta_t, delta_res = benchmark.pedantic(
-        lambda: _run(True), rounds=1, iterations=1)
+    _run()  # warm imports/allocator before timing
+    with reference_construction(monkeypatch):
+        full_t, full = _run()
+    delta_t, delta_res = benchmark.pedantic(_run, rounds=1, iterations=1)
 
     # byte-identical winners: same cost float, same grid bytes
     assert delta_res.cost == full.cost
@@ -115,13 +117,13 @@ def test_delta_eval_speedup(benchmark):
         f"jobs=1, prune=False",
         f"host: {os.cpu_count()} CPU(s)",
         "",
-        f"{'evaluator':<38} {'time [s]':>9} {'best T':>8} {'tasks':>6}",
-        f"{'full re-costing (delta=False)':<38} {full_t:>9.3f} "
+        f"{'construction':<38} {'time [s]':>9} {'best T':>8} {'tasks':>6}",
+        f"{'reference oracle (gcrm_reference.py)':<38} {full_t:>9.3f} "
         f"{full.cost:>8.4f} {full.report.n_tasks_evaluated:>6d}",
-        f"{'incremental delta (delta=True)':<38} {delta_t:>9.3f} "
+        f"{'production (bitmask + delta cost)':<38} {delta_t:>9.3f} "
         f"{delta_res.cost:>8.4f} {delta_res.report.n_tasks_evaluated:>6d}",
         "",
-        f"speedup delta vs full: {speedup:.2f}x",
+        f"speedup production vs reference: {speedup:.2f}x",
         "winners are byte-identical (same RNG stream, same matching, same",
         "cost floats) — pinned by tests/patterns/test_delta_eval.py.",
     ]

@@ -53,6 +53,16 @@ def build_parser() -> argparse.ArgumentParser:
                 f"must be >= 0 (0 = auto-select), got {value}")
         return value
 
+    def positive_int(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"must be a positive integer, got {text!r}")
+        return value
+
     def spec_type(parse):
         """argparse type: reject a spec ``parse`` refuses, keep its text."""
 
@@ -73,15 +83,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-prune", action="store_true",
                        help="evaluate every feasible pattern size instead of "
                             "stopping near the sqrt(3P/2) cost floor")
-        p.add_argument("--delta", action="store_true",
-                       help="score GCR&M candidates with the incremental "
-                            "delta evaluator (bit-identical winners)")
 
     p = sub.add_parser("pattern", help="build and inspect a pattern")
     p.add_argument("--nodes", "-P", type=int, required=True)
     p.add_argument("--kernel", choices=("lu", "cholesky"), default="lu")
     p.add_argument("--family", choices=sorted(PATTERN_FAMILIES), default=None)
-    p.add_argument("--seeds", type=int, default=20, help="GCR&M search budget")
+    p.add_argument("--seeds", type=positive_int, default=20,
+                   help="GCR&M search budget")
     p.add_argument("--show", action="store_true", help="print the grid")
     p.add_argument("--save", metavar="FILE", default=None, help="write JSON")
     p.add_argument("--store", metavar="DIR", default=None,
@@ -93,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", "-P", type=int, required=True)
     p.add_argument("--tiles", type=int, default=100,
                    help="matrix size in tiles for volume predictions")
-    p.add_argument("--seeds", type=int, default=20)
+    p.add_argument("--seeds", type=positive_int, default=20)
     add_search_flags(p)
 
     p = sub.add_parser("gcrm",
@@ -110,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="cholesky")
     p.add_argument("--tiles", type=int, default=32,
                    help="matrix size in tiles for volume predictions")
-    p.add_argument("--seeds", type=int, default=20,
+    p.add_argument("--seeds", type=positive_int, default=20,
                    help="GCR&M search budget")
     p.add_argument("--show", action="store_true",
                    help="print both grids")
@@ -122,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", choices=("lu", "cholesky"), default="lu")
     p.add_argument("--family", choices=sorted(PATTERN_FAMILIES), default=None)
     p.add_argument("--tile-size", type=int, default=500)
-    p.add_argument("--seeds", type=int, default=10)
+    p.add_argument("--seeds", type=positive_int, default=10)
     p.add_argument("--network", choices=sorted(NETWORK_MODELS), default="nic",
                    help="communication model (nic = legacy sender-serialized, "
                         "contention = rx serialization + latency + shared "
@@ -203,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--family", default="best",
                         help="pattern family key ('best' = the per-kernel "
                              "recommendation of best_pattern)")
-        sp.add_argument("--budget", type=int, default=20,
+        sp.add_argument("--budget", type=positive_int, default=20,
                         help="GCR&M search seeds per node count")
         sp.add_argument("--shard-size", type=int, default=32, metavar="N",
                         help="node counts per shard file")
@@ -247,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nodes", type=int, required=True)
     p.add_argument("--kernel", choices=("lu", "cholesky"), default="cholesky")
     p.add_argument("--out", metavar="FILE", required=True)
-    p.add_argument("--seeds", type=int, default=20)
+    p.add_argument("--seeds", type=positive_int, default=20)
     add_search_flags(p)
 
     p = sub.add_parser("report", help="regenerate every paper table/figure")
@@ -265,14 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _search_kwargs(args) -> dict:
-    """Translate --jobs/--no-prune/--delta into gcrm_search keywords."""
+    """Translate --jobs/--no-prune into gcrm_search keywords."""
     kw = {}
     if getattr(args, "jobs", None) is not None:
         kw["jobs"] = args.jobs
     if getattr(args, "no_prune", False):
         kw["prune"] = False
-    if getattr(args, "delta", False):
-        kw["delta"] = True
     return kw
 
 

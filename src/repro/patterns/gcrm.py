@@ -109,77 +109,23 @@ TIE_BREAKS = ("usage_random", "random", "first")
 
 def _phase1(P: int, r: int, rng: np.random.Generator,
             tie_break: str = "usage_random") -> list[set[int]]:
-    """Greedy colrow assignment (lines 1-10 of Algorithm 1)."""
-    A = [set() for _ in range(P)]
-    # membership[p, i] — colrow i in A[p]
-    member = np.zeros((P, r), dtype=bool)
-    for i in range(r):
-        A[i % P].add(i)
-        member[i % P, i] = True
-    # uncovered[i, j] for i != j
-    uncovered = ~np.eye(r, dtype=bool)
-    # covered cells per node: |A[p]| * (|A[p]| - 1) at most, but cells
-    # may be covered by several nodes; "load" is the node's own
-    # coverage, the natural proxy for the cells it will end up owning.
-    sizes = member.sum(axis=1)
-    usage = member.sum(axis=0)  # how many A[p] contain each colrow
+    """Greedy colrow assignment (lines 1-10 of Algorithm 1), on bitmasks.
 
-    guard = 0
-    max_iter = 4 * P * r + 16
-    while uncovered.any():
-        guard += 1
-        if guard > max_iter:  # pragma: no cover - safety net
-            raise RuntimeError(f"GCR&M phase 1 did not converge (P={P}, r={r})")
-        loads = sizes * (sizes - 1)
-        least = np.flatnonzero(loads == loads.min())
-        p = int(rng.choice(least))
-        mine = member[p]
-        # newly covered cells when adding colrow b: pairs (b, i)/(i, b)
-        # with i in A[p], intersected with the uncovered set.
-        gain = (uncovered[:, mine].sum(axis=1) + uncovered[mine, :].sum(axis=0))
-        gain[mine] = -1  # already-owned colrows bring nothing
-        best_gain = gain.max()
-        cand = np.flatnonzero(gain == best_gain)
-        if len(cand) > 1 and tie_break == "usage_random":
-            u = usage[cand]
-            cand = cand[u == u.min()]
-        if tie_break == "first":
-            b = int(cand[0])
-        else:
-            b = int(rng.choice(cand))
-        A[p].add(b)
-        member[p, b] = True
-        sizes[p] += 1
-        usage[b] += 1
-        mine = member[p]
-        uncovered[b, mine] = False
-        uncovered[mine, b] = False
-    return A
-
-
-def _phase1_fast(P: int, r: int, rng: np.random.Generator,
-                 tie_break: str = "usage_random") -> list[set[int]]:
-    """Bitmask reimplementation of :func:`_phase1` (the ``delta=True`` path).
-
-    Decision-for-decision identical to the reference loop: the same
-    ``rng.choice`` calls are made on the same candidate lists, so the
-    RNG stream — and therefore the returned assignment — is
-    byte-identical.  Colrow sets and the uncovered-cell matrix live in
-    Python integers (one bit per colrow), which turns the per-iteration
-    boolean slicing of the reference path into a handful of popcounts.
-
-    Three deliberate representation differences that cannot change
-    decisions: gains are counted once instead of twice (the reference
-    sums the symmetric ``uncovered`` matrix over rows *and* columns, a
-    uniform ×2 that preserves every argmax tie set), coverage is
-    tracked by a live cell counter instead of re-scanning the matrix,
-    and uniform picks use ``cand[rng.integers(0, len(cand))]``, the
-    exact draw ``Generator.choice`` makes for a 1-D population with
-    ``size=None``/``replace=True``/``p=None`` — minus its Python
-    preamble.  The stream equivalence is locked at runtime by the
-    differential suite (``tests/patterns/test_delta_eval.py``), so a
-    numpy release that reworked ``choice`` internals would fail loudly
-    there rather than silently diverge.
+    Colrow sets and the uncovered-cell matrix live in Python integers
+    (one bit per colrow), so each iteration is a handful of popcounts.
+    Decision-for-decision this is the straightforward boolean-matrix
+    loop kept as the test oracle (``tests/patterns/gcrm_reference.py``):
+    the same candidate lists reach the same RNG draws, so the returned
+    assignment is byte-identical.  Three representation differences
+    cannot change a decision: gains are counted once instead of twice
+    (the matrix form sums the symmetric ``uncovered`` over rows *and*
+    columns, a uniform ×2 that preserves every argmax tie set), coverage
+    is tracked by a live cell counter instead of re-scanning, and
+    uniform picks use ``cand[rng.integers(0, len(cand))]``, the exact
+    draw ``Generator.choice`` makes for a 1-D population with
+    ``size=None``/``replace=True``/``p=None``.  The stream equivalence
+    is locked by ``tests/patterns/test_delta_eval.py``, so a numpy
+    release that reworked ``choice`` internals fails loudly there.
     """
     full = (1 << r) - 1
     member = [0] * P          # bitmask of A[p]
@@ -263,54 +209,20 @@ def _phase1_fast(P: int, r: int, rng: np.random.Generator,
     return [{i for i in range(r) if (member[p] >> i) & 1} for p in range(P)]
 
 
-def _matching_assign(cells: np.ndarray, cover: np.ndarray, copies: np.ndarray) -> np.ndarray:
+def _matching_assign(cells: np.ndarray, cover: np.ndarray,
+                     copies: np.ndarray) -> np.ndarray:
     """Match ``cells`` (indices into cover's rows) to node copies.
 
     ``cover`` is an (ncells, P) boolean coverage matrix; ``copies[p]``
     is the number of copies of node ``p`` on the right side.  Returns an
     array of node ids (or -1) per cell, assigning at most ``copies[p]``
     cells to node ``p`` via Hopcroft–Karp maximum bipartite matching.
-    """
-    P = cover.shape[1]
-    col_node = np.repeat(np.arange(P), copies)
-    if len(col_node) == 0 or len(cells) == 0:
-        return np.full(len(cells), -1, dtype=np.int64)
-    sub = cover[cells]  # (n, P)
-    rows, nodecols = np.nonzero(sub)
-    # expand node columns into copy columns
-    starts = np.concatenate([[0], np.cumsum(copies)])
-    r_idx = []
-    c_idx = []
-    for rr, nn in zip(rows, nodecols):
-        for cc in range(starts[nn], starts[nn + 1]):
-            r_idx.append(rr)
-            c_idx.append(cc)
-    if not r_idx:
-        return np.full(len(cells), -1, dtype=np.int64)
-    graph = csr_matrix(
-        (np.ones(len(r_idx), dtype=np.int8), (r_idx, c_idx)),
-        shape=(len(cells), len(col_node)),
-    )
-    match = maximum_bipartite_matching(graph, perm_type="column")
-    out = np.full(len(cells), -1, dtype=np.int64)
-    for cell_row in range(len(cells)):
-        copy_col = match[cell_row]
-        if copy_col >= 0:
-            out[cell_row] = col_node[copy_col]
-    return out
 
-
-def _matching_assign_fast(cells: np.ndarray, cover: np.ndarray,
-                          copies: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`_matching_assign` (the ``delta=True`` path).
-
-    Builds the cell/copy bipartite graph directly in CSR form — the
-    same matrix, entry for entry, that the reference path assembles
-    with Python loops and a COO→CSR conversion: ``np.nonzero`` yields
-    the (cell, node) pairs in identical row-major order, each pair
-    expands to the same contiguous copy-column range, and the expanded
-    columns are already sorted and duplicate-free within each row.
-    Identical CSR structure means Hopcroft–Karp returns the identical
+    The cell/copy bipartite graph is built directly in CSR form:
+    ``np.nonzero`` yields the (cell, node) pairs in row-major order and
+    each pair expands to a contiguous, sorted copy-column range — the
+    same matrix, entry for entry, that the loop-and-COO oracle in
+    ``tests/patterns/gcrm_reference.py`` assembles, hence the identical
     matching.
     """
     P = cover.shape[1]
@@ -342,8 +254,8 @@ def _matching_assign_fast(cells: np.ndarray, cover: np.ndarray,
     return out
 
 
-def gcrm(P: int, r: int, seed=None, tie_break: str = "usage_random",
-         delta: bool = False) -> GCRMResult:
+def gcrm(P: int, r: int, seed=None,
+         tie_break: str = "usage_random") -> GCRMResult:
     """Run GCR&M for ``P`` nodes and pattern size ``r`` (Algorithm 1).
 
     ``seed`` may be an integer, ``None``, or a
@@ -353,14 +265,10 @@ def gcrm(P: int, r: int, seed=None, tie_break: str = "usage_random",
     policy (see :data:`TIE_BREAKS`); the paper's algorithm is
     ``"usage_random"``.
 
-    ``delta=True`` routes construction through the incremental
-    evaluator: the bitmask phase 1 (:func:`_phase1_fast`), the
-    direct-CSR matchings (:func:`_matching_assign_fast`), and a
-    :class:`~repro.patterns.delta.DeltaCostState` that scores the
-    greedy top-up and the final cost without full-grid re-costing.
-    The result — pattern, colrows, loads *and* the cost float — is
-    byte-identical to the reference path (``delta=False``), which stays
-    as the oracle the differential suite pins against.
+    The matched cells are scored once into a
+    :class:`~repro.patterns.delta.DeltaCostState`, which then
+    delta-evaluates the greedy top-up; its final cost is bit-equal to
+    ``pattern.cost_cholesky`` without a full-grid re-cost.
     """
     if P < 1:
         raise ValueError(f"node count must be >= 1, got P={P}")
@@ -373,9 +281,7 @@ def gcrm(P: int, r: int, seed=None, tie_break: str = "usage_random",
     else:
         seed_id = seed
     rng = np.random.default_rng(seed)
-    phase1 = _phase1_fast if delta else _phase1
-    assign = _matching_assign_fast if delta else _matching_assign
-    A = phase1(P, r, rng, tie_break=tie_break)
+    A = _phase1(P, r, rng, tie_break=tie_break)
 
     member = np.zeros((P, r), dtype=bool)
     for p, crs in enumerate(A):
@@ -395,22 +301,20 @@ def gcrm(P: int, r: int, seed=None, tie_break: str = "usage_random",
     # first matching: k duplicates per node (line 11)
     if k > 0:
         all_cells = np.arange(ncells)
-        owner = assign(all_cells, cover, np.full(P, k, dtype=np.int64))
+        owner = _matching_assign(all_cells, cover, np.full(P, k, dtype=np.int64))
 
     # second matching: unassigned cells vs 1 extra duplicate per node (line 12)
     unassigned = np.flatnonzero(owner == -1)
     if len(unassigned):
-        extra = assign(unassigned, cover, np.ones(P, dtype=np.int64))
+        extra = _matching_assign(unassigned, cover, np.ones(P, dtype=np.int64))
         owner[unassigned[extra >= 0]] = extra[extra >= 0]
 
-    state = None
-    if delta:
-        # score the matched cells once, then delta-evaluate the top-up
-        state = DeltaCostState(r, P)
-        done = owner >= 0
-        np.add.at(state.counts, (ii[done], owner[done]), 1)
-        np.add.at(state.counts, (jj[done], owner[done]), 1)
-        state.z = (state.counts > 0).sum(axis=1).astype(np.int64)
+    # score the matched cells once, then delta-evaluate the top-up
+    state = DeltaCostState(r, P)
+    done = owner >= 0
+    np.add.at(state.counts, (ii[done], owner[done]), 1)
+    np.add.at(state.counts, (jj[done], owner[done]), 1)
+    state.z = (state.counts > 0).sum(axis=1).astype(np.int64)
 
     # leftover cells: least loaded node reachable by adding one colrow
     loads = np.bincount(owner[owner >= 0], minlength=P)
@@ -426,8 +330,7 @@ def gcrm(P: int, r: int, seed=None, tie_break: str = "usage_random",
         member[p, i] = True
         member[p, j] = True
         A[p].update((i, j))
-        if state is not None:
-            state.assign(i, j, p)
+        state.assign(i, j, p)
 
     grid = np.full((r, r), UNDEFINED, dtype=np.int64)
     grid[ii, jj] = owner
@@ -435,7 +338,7 @@ def gcrm(P: int, r: int, seed=None, tie_break: str = "usage_random",
     return GCRMResult(
         pattern=pattern,
         colrows=A,
-        cost=state.cost if state is not None else pattern.cost_cholesky,
+        cost=state.cost,
         seed=seed_id,
         phase2_leftover=int(len(leftover)),
         loads=np.bincount(owner, minlength=P),
@@ -484,7 +387,7 @@ def _affinity_relabel(grid: np.ndarray, P: int,
 
 def gcrm_hier(P: int, r: int, topology: "Topology", seed=None, *,
               inter_weight: float = 4.0, tie_break: str = "usage_random",
-              delta: bool = False, max_passes: int = 4) -> GCRMResult:
+              max_passes: int = 4) -> GCRMResult:
     """Hierarchy-aware GCR&M: optimize the weighted two-level objective.
 
     Runs flat :func:`gcrm` construction on the identical RNG stream,
@@ -506,11 +409,11 @@ def gcrm_hier(P: int, r: int, topology: "Topology", seed=None, *,
     (there is no hierarchy to exploit), making hierarchical search
     degenerate to flat GCR&M winners at a fixed seed.
 
-    ``delta=True`` scores refinement moves with the incremental
-    :class:`~repro.patterns.delta.HierCostState`; ``delta=False``
-    re-counts from the mutated grid.  Both reduce the same integer
-    count arrays through :func:`~repro.patterns.base.hier_mean`, so
-    the accepted moves — and the final pattern — are byte-identical.
+    Refinement moves are scored with the incremental
+    :class:`~repro.patterns.delta.HierCostState`, which reduces the
+    same integer count arrays as a full re-count through
+    :func:`~repro.patterns.base.hier_mean`, so its cost is bit-equal to
+    ``pattern.cost_hier``.
 
     The returned :attr:`GCRMResult.cost` is the hierarchical objective
     (which equals the flat cost when the topology is flat).
@@ -522,7 +425,7 @@ def gcrm_hier(P: int, r: int, topology: "Topology", seed=None, *,
     if topology.nranks < P:
         raise ValueError(
             f"topology covers {topology.nranks} ranks but P={P}")
-    base = gcrm(P, r, seed=seed, tie_break=tie_break, delta=delta)
+    base = gcrm(P, r, seed=seed, tie_break=tie_break)
     if topology.is_flat:
         return base
 
@@ -533,8 +436,7 @@ def gcrm_hier(P: int, r: int, topology: "Topology", seed=None, *,
     grid[mask] = relabel[grid[mask]]
 
     state = HierCostState.from_grid(grid, P, topology, w)
-    cur = state.cost_hier if delta else HierCostState.from_grid(
-        grid, P, topology, w).cost_hier
+    cur = state.cost_hier
     for _ in range(max_passes):
         improved = False
         for i in range(r):
@@ -570,9 +472,7 @@ def gcrm_hier(P: int, r: int, topology: "Topology", seed=None, *,
                     state.apply(back)
                     grid[i, j] = q
                     grid[a, b] = p
-                    new_cost = state.cost_hier if delta else (
-                        HierCostState.from_grid(grid, P, topology, w)
-                        .cost_hier)
+                    new_cost = state.cost_hier
                     if new_cost < cur - 1e-12:
                         cur = new_cost
                         improved = True
@@ -612,7 +512,6 @@ def gcrm_search(
     prune_tol: float = 0.05,
     chunk_size: Optional[int] = None,
     tie_break: str = "usage_random",
-    delta: bool = False,
     topology: Optional["Topology"] = None,
     inter_weight: float = 4.0,
 ) -> GCRMResult:
@@ -642,12 +541,6 @@ def gcrm_search(
         (:func:`gcrm_cost_floor`).  Pruning decisions happen on size
         boundaries only, so they are identical for every ``jobs``.
         The first candidate size is always fully evaluated.
-    ``delta``
-        Evaluate tasks with the incremental delta evaluator (see
-        :func:`gcrm`).  Winners are byte-identical to ``delta=False``;
-        the full evaluator remains the reference path
-        (``benchmarks/results/delta_eval_speedup.txt`` records the
-        speedup).
     ``topology`` / ``inter_weight``
         When a non-flat :class:`~repro.runtime.topology.Topology` is
         given, every task runs :func:`gcrm_hier` and the sweep ranks
@@ -696,7 +589,6 @@ def gcrm_search(
         prune=prune,
         prune_floor=gcrm_cost_floor(topology.nnodes if hier else P),
         prune_tol=prune_tol,
-        delta=delta,
         topology=topology if hier else None,
         inter_weight=inter_weight,
     )
@@ -712,11 +604,9 @@ def gcrm_search(
                   if t.index == report.best_index)
     if hier:
         best = gcrm_hier(P, winner.r, topology, seed=winner.seed,
-                         inter_weight=inter_weight, tie_break=tie_break,
-                         delta=delta)
+                         inter_weight=inter_weight, tie_break=tie_break)
     else:
-        best = gcrm(P, winner.r, seed=winner.seed, tie_break=tie_break,
-                    delta=delta)
+        best = gcrm(P, winner.r, seed=winner.seed, tie_break=tie_break)
     assert abs(best.cost - report.best_cost) < 1e-9, "non-deterministic gcrm task"
     best.report = report
     return best

@@ -1,20 +1,20 @@
-"""Simulator backend selection (numba JIT > compiled C > pure Python).
+"""Simulator backend selection (compiled C > pure Python).
 
-The event loop of :func:`repro.runtime.simulator.simulate` has three
+The event loop of :func:`repro.runtime.simulator.simulate` has two
 interchangeable implementations for its default configuration
 (priority scheduler, no fork-join, no recording, NIC network, p2p
 multicast):
 
-* ``numba`` — :mod:`.jit`, used when numba is installed;
-* ``c``     — :mod:`.csim`, compiled on demand with the system C
+* ``c``      — :mod:`.csim`, compiled on demand with the system C
   compiler;
 * ``python`` — the batch-drained pure-Python loop, always available.
 
-All three produce byte-identical event schedules (the golden and
+Both produce byte-identical event schedules (the golden and
 cross-backend equivalence tests pin this).  ``REPRO_SIM_BACKEND``
-overrides the automatic choice: ``auto`` (default), ``numba``, ``c``
-or ``python``; naming an unavailable backend falls back to Python
-rather than failing, so the variable is safe to set fleet-wide.
+overrides the automatic choice: ``auto`` (default), ``c`` or
+``python``.  Naming ``c`` where it cannot be built falls back to Python
+rather than failing, so the variable is safe to set fleet-wide; any
+other value is rejected with a :class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -22,9 +22,12 @@ from __future__ import annotations
 import os
 from typing import Callable, Optional, Tuple
 
-__all__ = ["select_backend", "active_backend", "BACKEND_ENV"]
+__all__ = ["select_backend", "active_backend", "BACKEND_ENV", "BACKENDS"]
 
 BACKEND_ENV = "REPRO_SIM_BACKEND"
+
+#: Accepted ``REPRO_SIM_BACKEND`` values.
+BACKENDS = ("auto", "c", "python")
 
 _cached: Optional[Tuple[str, Optional[Callable]]] = None
 _cached_env: Optional[str] = None
@@ -41,23 +44,17 @@ def select_backend() -> Tuple[str, Optional[Callable]]:
     env = os.environ.get(BACKEND_ENV, "auto").lower()
     if _cached is not None and env == _cached_env:
         return _cached
+    if env not in BACKENDS:
+        raise ValueError(f"{BACKEND_ENV}={env!r} is not a simulator backend; "
+                         f"choose one of {'|'.join(BACKENDS)}")
     choice = _resolve(env)
     _cached, _cached_env = choice, env
     return choice
 
 
 def _resolve(env: str) -> Tuple[str, Optional[Callable]]:
-    from . import csim, jit
-    if env == "python":
-        return "python", None
-    if env == "numba":
-        return ("numba", jit.run) if jit.available() else ("python", None)
-    if env == "c":
-        return ("c", csim.run) if csim.available() else ("python", None)
-    # auto: prefer the JIT when installed, else the compiled loop
-    if jit.available():
-        return "numba", jit.run
-    if csim.available():
+    from . import csim
+    if env != "python" and csim.available():
         return "c", csim.run
     return "python", None
 

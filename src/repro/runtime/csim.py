@@ -7,8 +7,8 @@ directory keyed by the source hash, and binds it through
 :mod:`ctypes`/:mod:`numpy.ctypeslib`.  Everything is fail-soft: no
 compiler, a failed compile, or a missing source file simply makes
 :func:`available` return ``False`` and the simulator falls back to the
-pure-Python loop.  Set ``REPRO_SIM_BACKEND=python`` (or ``numba``) to
-bypass this backend entirely; ``REPRO_CACHE_DIR`` overrides where the
+pure-Python loop.  Set ``REPRO_SIM_BACKEND=python`` to bypass this
+backend entirely; ``REPRO_CACHE_DIR`` overrides where the
 shared object is cached.
 """
 

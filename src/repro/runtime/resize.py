@@ -28,8 +28,9 @@ and the *break-even horizon* — the fraction of a full run that must
 still be ahead of you for the move to ``P′`` to pay for itself.
 
 A resize that moves nothing and changes nothing (e.g. ``P → P`` with
-the same pattern) falls through to the plain simulator, byte-identical
-to an unresized run — the golden-trace contract.
+the same pattern), or one scheduled at or after the unresized run's
+makespan, falls through to the plain simulator, byte-identical to an
+unresized run — the golden-trace contract.
 """
 
 from __future__ import annotations
@@ -264,7 +265,8 @@ def simulate_with_resize(
     ``resize`` is a :class:`ResizeEvent` or a ``"P@t"`` spec string.
     The returned trace covers all three phases; ``trace.resize_stats``
     carries the :class:`MigrationStats` (absent when the resize is a
-    no-op, so such runs stay byte-identical to unresized goldens).
+    no-op — nothing moves, or it falls at or after the plain run's
+    makespan — so such runs stay byte-identical to unresized goldens).
     """
     from ..distribution import TileDistribution
     from ..patterns.migrate import plan_from_owners, relabel_distribution
@@ -329,6 +331,12 @@ def simulate_with_resize(
     trace_a = simulate(graph, cluster, data_home=data_home,
                        record_tasks=True, network=net_name)
     t0 = resize.time
+    # A resize at or after completion finds nothing left to run: it is
+    # a no-op, so the caller gets the plain run, with no resize_stats.
+    if t0 >= trace_a.makespan:
+        return simulate(graph, cluster, data_home=data_home,
+                        record_tasks=record_tasks, network=network,
+                        trace_writer=trace_writer)
     recs_a = trace_a.task_records or []
     done_recs = [r for r in recs_a if r.start < t0]
     done_mask = np.zeros(cols.n_tasks, dtype=bool)

@@ -30,10 +30,9 @@ The v3 hot path is split in three layers:
    planning once.
 2. **Backend** — for the default configuration (priority scheduler, no
    fork-join, no recording, NIC network, p2p multicast) the event loop
-   runs compiled: a numba JIT kernel (:mod:`~repro.runtime.jit`) when
-   numba is installed, else a ctypes-bound C loop
-   (:mod:`~repro.runtime.csim`) compiled on demand.  Both replicate the
-   Python loop event for event; ``REPRO_SIM_BACKEND`` forces a choice.
+   runs compiled: a ctypes-bound C loop (:mod:`~repro.runtime.csim`)
+   compiled on demand.  It replicates the Python loop event for event;
+   ``REPRO_SIM_BACKEND`` (``auto|c|python``) forces a choice.
 3. **Python loop** — the always-available fallback (and the only path
    for recording, fork-join, ablation schedulers and the contention
    model).  It drains the event heap in same-timestamp batches and
@@ -205,7 +204,7 @@ def simulate(
                                    dtype=np.float64)[cols.node]
 
     # ------------------------------------------------------------------
-    # Compiled backends (numba JIT / C): default configuration only
+    # Compiled C backend: default configuration only
     # ------------------------------------------------------------------
     if (not record_tasks and trace_writer is None
             and cluster.scheduler == "priority" and not cluster.fork_join

@@ -1,17 +1,20 @@
 """Differential equivalence suite for the delta evaluator.
 
-Two layers of protection for ``delta=True``:
+Two layers of protection for GCR&M's incremental construction:
 
 * **Property layer** — :class:`DeltaCostState` apply/revert tracks full
   re-costing *bit for bit* over random swap sequences, for every P the
   shipped database covers (5..44).  The full evaluator
   (``Pattern.cost_cholesky`` / ``colrow_counts``) is the independent
   oracle.
-* **Regression layer** — ``gcrm_search(delta=True)`` returns
-  byte-identical winners to ``delta=False`` at the paper's P∈{23,31,35}
-  figure cases, plus the RNG-stream equivalence the fast phase-1 path
-  relies on (``Generator.choice(a) ≡ a[Generator.integers(0, len(a))]``
-  for a 1-D population) so a numpy internals change fails loudly here.
+* **Regression layer** — ``gcrm`` / ``gcrm_search`` return
+  byte-identical results to the reference construction steps
+  (``tests/patterns/gcrm_reference.py``, swapped in with
+  ``monkeypatch``) at the paper's P∈{23,31,35} figure cases, their
+  costs are bit-equal to a full ``Pattern.cost_cholesky`` re-cost, and
+  the RNG-stream equivalence the bitmask phase 1 relies on
+  (``Generator.choice(a) ≡ a[Generator.integers(0, len(a))]`` for a
+  1-D population) is locked so a numpy internals change fails loudly.
 """
 
 import numpy as np
@@ -22,6 +25,10 @@ from hypothesis import strategies as st
 from repro.patterns.base import Pattern, PatternError
 from repro.patterns.delta import ColrowSwap, DeltaCostState
 from repro.patterns.gcrm import feasible_sizes, gcrm, gcrm_search
+
+from tests.patterns.gcrm_reference import _matching_assign as ref_matching_assign
+from tests.patterns.gcrm_reference import _phase1 as ref_phase1
+from tests.patterns.gcrm_reference import gcrm_module, reference_construction
 
 
 # ---------------------------------------------------------------------------
@@ -132,37 +139,54 @@ class TestDeltaStateGuards:
 
 
 # ---------------------------------------------------------------------------
-# regression layer: the delta-evaluated GCR&M stack
+# regression layer: the GCR&M construction against the reference oracle
 # ---------------------------------------------------------------------------
 class TestGcrmDeltaEquivalence:
+    def test_reference_is_swapped_in(self, monkeypatch):
+        production = gcrm_module._phase1, gcrm_module._matching_assign
+        with reference_construction(monkeypatch):
+            assert gcrm_module._phase1 is ref_phase1
+            assert gcrm_module._matching_assign is ref_matching_assign
+        assert (gcrm_module._phase1, gcrm_module._matching_assign) == production
+        assert production[0] is not ref_phase1
+        assert production[1] is not ref_matching_assign
+
     @pytest.mark.parametrize("P,r", [(5, 4), (7, 5), (23, 10), (23, 12),
                                      (31, 16), (35, 15), (44, 12)])
-    def test_single_construction_identical(self, P, r):
+    def test_single_construction_identical(self, monkeypatch, P, r):
         for seed in range(4):
-            a = gcrm(P, r, seed=seed, delta=False)
-            b = gcrm(P, r, seed=seed, delta=True)
+            with reference_construction(monkeypatch):
+                a = gcrm(P, r, seed=seed)
+            b = gcrm(P, r, seed=seed)
             assert a.cost == b.cost
+            assert b.cost == b.pattern.cost_cholesky
             assert a.uses_all_nodes == b.uses_all_nodes
+            assert a.colrows == b.colrows
+            assert (a.loads == b.loads).all()
             assert a.pattern == b.pattern
             assert (a.pattern.grid == b.pattern.grid).all()
 
-    def test_tie_break_first_identical(self):
-        a = gcrm(23, 10, seed=3, tie_break="first", delta=False)
-        b = gcrm(23, 10, seed=3, tie_break="first", delta=True)
+    def test_tie_break_first_identical(self, monkeypatch):
+        with reference_construction(monkeypatch):
+            a = gcrm(23, 10, seed=3, tie_break="first")
+        b = gcrm(23, 10, seed=3, tie_break="first")
         assert a.cost == b.cost and (a.pattern.grid == b.pattern.grid).all()
+        assert b.cost == b.pattern.cost_cholesky
 
     @pytest.mark.parametrize("P", [23, 31, 35])
-    def test_search_winner_byte_identical(self, P):
+    def test_search_winner_byte_identical(self, monkeypatch, P):
         kw = dict(seeds=range(5), max_factor=3.0, seed=1234, prune=False)
-        full = gcrm_search(P, delta=False, **kw)
-        fast = gcrm_search(P, delta=True, **kw)
+        with reference_construction(monkeypatch):
+            full = gcrm_search(P, **kw)
+        fast = gcrm_search(P, **kw)
         assert full.cost == fast.cost
+        assert fast.cost == fast.pattern.cost_cholesky
         assert full.seed == fast.seed
         assert full.pattern == fast.pattern
         assert full.pattern.grid.tobytes() == fast.pattern.grid.tobytes()
 
     def test_search_delta_jobs_independent(self):
-        kw = dict(seeds=range(5), max_factor=3.0, seed=7, delta=True)
+        kw = dict(seeds=range(5), max_factor=3.0, seed=7)
         serial = gcrm_search(23, jobs=1, **kw)
         parallel = gcrm_search(23, jobs=2, **kw)
         assert serial.cost == parallel.cost
@@ -171,11 +195,11 @@ class TestGcrmDeltaEquivalence:
     def test_rng_stream_equivalence(self):
         """choice(a) and a[integers(0, len(a))] consume identical draws.
 
-        The fast phase-1 path substitutes the latter for the former;
+        The bitmask phase 1 substitutes the latter for the former;
         this is what makes its RNG stream byte-identical to the
         reference.  Locked here so a numpy release that reworks
         ``Generator.choice`` internals fails this suite instead of
-        silently diverging the two evaluators.
+        silently diverging from the oracle.
         """
         for n in (1, 2, 3, 7, 35, 100):
             pop = list(range(10, 10 + n))
@@ -193,7 +217,7 @@ class TestGcrmGuards:
         with pytest.raises(ValueError, match="node count"):
             gcrm(0, 4)
         with pytest.raises(ValueError, match="node count"):
-            gcrm(-3, 4, delta=True)
+            gcrm(-3, 4, seed=0)
 
     def test_gcrm_search_rejects_bad_P(self):
         with pytest.raises(ValueError, match="node count"):

@@ -15,6 +15,8 @@ from repro.patterns.gcrm import (
     _phase1,
 )
 
+from tests.patterns.gcrm_reference import _phase1 as ref_phase1
+
 
 class TestFeasibility:
     def test_equation3_examples(self):
@@ -52,25 +54,31 @@ class TestFeasibility:
         assert all(feasible_size(r, 1) for r in sizes)
 
 
+#: production bitmask phase 1 and the reference boolean-matrix loop
+PHASE1_IMPLS = (_phase1, ref_phase1)
+
+
 class TestPhase1:
     def test_initial_round_robin_and_coverage(self):
-        rng = np.random.default_rng(0)
-        A = _phase1(5, 7, rng)
-        # every node got at least one colrow (round-robin start)
-        assert all(len(a) >= 1 for a in A)
-        # every off-diagonal cell covered by some node
-        for i in range(7):
-            for j in range(7):
-                if i != j:
-                    assert any(i in a and j in a for a in A), (i, j)
+        for phase1 in PHASE1_IMPLS:
+            A = phase1(5, 7, np.random.default_rng(0))
+            # every node got at least one colrow (round-robin start)
+            assert all(len(a) >= 1 for a in A)
+            # every off-diagonal cell covered by some node
+            for i in range(7):
+                for j in range(7):
+                    if i != j:
+                        assert any(i in a and j in a for a in A), (i, j)
 
     def test_colrow_choice_prefers_more_new_cells(self):
         """Figure 8 behaviour: the chosen colrow maximizes newly covered
         cells, so every node that holds >= 2 colrows covers cells at all
         their pairwise intersections."""
-        rng = np.random.default_rng(3)
-        A = _phase1(6, 8, rng)
-        sizes = sorted(len(a) for a in A)
+        results = [phase1(6, 8, np.random.default_rng(3))
+                   for phase1 in PHASE1_IMPLS]
+        # production and reference make the same decisions
+        assert results[0] == results[1]
+        sizes = sorted(len(a) for a in results[0])
         # coverage needs most nodes on >= 2 colrows; greedy growth keeps
         # assignments small (no node should hoard far more than others)
         assert sizes[-1] - sizes[0] <= 3

@@ -1,4 +1,4 @@
-"""Hierarchy-aware GCR&M: delta equivalence, degeneracy, balance.
+"""Hierarchy-aware GCR&M: reference equivalence, degeneracy, balance.
 
 Mirrors the flat delta-evaluator suite (``test_delta_eval.py``) for the
 two-level objective:
@@ -6,8 +6,11 @@ two-level objective:
 * **Property layer** — :class:`HierCostState` apply/revert tracks a
   full node-level recount *bit for bit* over random swap sequences;
   ``cost_hier`` matches ``Pattern.cost_hier`` exactly.
-* **Regression layer** — ``gcrm_hier(delta=True)`` returns byte-identical
-  grids and costs to ``delta=False``; a flat topology degenerates to the
+* **Regression layer** — ``gcrm_hier`` returns byte-identical grids and
+  costs to the reference construction steps
+  (``tests/patterns/gcrm_reference.py``, swapped in with ``monkeypatch``)
+  and its cost is bit-equal to a full ``Pattern.cost_hier`` re-cost;
+  a flat topology degenerates to the
   plain ``gcrm`` construction (same RNG stream, same winner); the search
   wrapper is jobs-independent.
 * **Quality layer** — the hierarchy-aware refinement never trades away
@@ -25,6 +28,8 @@ from repro.patterns.base import Pattern
 from repro.patterns.delta import ColrowSwap, HierCostState
 from repro.patterns.gcrm import feasible_sizes, gcrm, gcrm_hier, gcrm_search
 from repro.runtime.topology import Topology
+
+from tests.patterns.gcrm_reference import reference_construction
 
 
 # ---------------------------------------------------------------------------
@@ -104,20 +109,23 @@ class TestGcrmHierEquivalences:
 
     @pytest.mark.parametrize("P,rpn", [(11, 2), (13, 4), (23, 4)])
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_delta_matches_full_recosting(self, P, rpn, seed):
+    def test_delta_matches_full_recosting(self, monkeypatch, P, rpn, seed):
         topo = Topology(nranks=P, ranks_per_node=rpn)
         r = feasible_sizes(P)[0]
-        full = gcrm_hier(P, r, topo, seed=seed, delta=False)
-        fast = gcrm_hier(P, r, topo, seed=seed, delta=True)
+        with reference_construction(monkeypatch):
+            full = gcrm_hier(P, r, topo, seed=seed)
+        fast = gcrm_hier(P, r, topo, seed=seed)
         assert fast.pattern.grid.tobytes() == full.pattern.grid.tobytes()
         assert fast.cost.hex() == full.cost.hex()
+        # the incremental objective is bit-equal to a from-scratch re-cost
+        recost = fast.pattern.cost_hier("cholesky", topo)
+        assert fast.cost.hex() == recost.hex()
 
     @pytest.mark.parametrize("P,rpn", [(11, 2), (13, 4)])
     def test_search_jobs_independent(self, P, rpn):
         topo = Topology(nranks=P, ranks_per_node=rpn)
         serial = gcrm_search(P, seeds=range(6), topology=topo, jobs=1)
-        parallel = gcrm_search(P, seeds=range(6), topology=topo,
-                               jobs=2, delta=True)
+        parallel = gcrm_search(P, seeds=range(6), topology=topo, jobs=2)
         assert (serial.pattern.grid.tobytes()
                 == parallel.pattern.grid.tobytes())
         assert serial.cost == parallel.cost

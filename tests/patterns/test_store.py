@@ -12,6 +12,8 @@ from repro.patterns.store import (
     SHARD_VERSION,
 )
 
+from tests.patterns.gcrm_reference import reference_construction
+
 
 @pytest.fixture
 def store(tmp_path):
@@ -153,12 +155,14 @@ class TestBatchedLookup:
             assert pat == live
             assert (pat.grid == live.grid).all()
 
-    def test_batch_cholesky_equals_live(self, store):
+    def test_batch_cholesky_equals_live(self, store, monkeypatch):
         Ps = [5, 7, 10]
         got = store.patterns_for(Ps, kernel="cholesky", budget=3)
         for P, pat in zip(Ps, got):
-            live = best_pattern(P, kernel="cholesky", seeds=range(3),
-                                delta=True, jobs=1)
+            # live search on the reference GCR&M construction steps
+            with reference_construction(monkeypatch):
+                live = best_pattern(P, kernel="cholesky", seeds=range(3),
+                                    jobs=1)
             assert pat == live
             assert (pat.grid == live.grid).all()
 

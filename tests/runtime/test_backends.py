@@ -1,10 +1,11 @@
 """Cross-backend equivalence for the accelerated event loops.
 
-Every backend (numba JIT, on-demand-compiled C, pure Python) must
-produce the *same bytes*: identical canonical traces, not just equal
-makespans.  The parametrization only covers backends that are actually
-available on this host — an unavailable name silently resolves to the
-Python loop (that fallback is itself pinned below).
+Both backends (on-demand-compiled C, pure Python) must produce the
+*same bytes*: identical canonical traces, not just equal makespans.
+The parametrization only covers the C backend when it builds on this
+host — an unbuildable ``c`` silently resolves to the Python loop (that
+fallback is itself pinned below), and any other ``REPRO_SIM_BACKEND``
+value is rejected.
 """
 
 import json
@@ -24,13 +25,8 @@ TILE = 8
 
 
 def _available_accelerated():
-    from repro.runtime import csim, jit
-    names = []
-    if jit.available():
-        names.append("numba")
-    if csim.available():
-        names.append("c")
-    return names
+    from repro.runtime import csim
+    return ["c"] if csim.available() else []
 
 
 ACCELERATED = _available_accelerated()
@@ -86,14 +82,25 @@ def test_env_reresolves_cache(monkeypatch):
     assert backends.active_backend() == "python"
     monkeypatch.setenv(backends.BACKEND_ENV, "auto")
     name = backends.active_backend()
-    assert name in ("numba", "c", "python")
+    assert name in ("c", "python")
 
 
 def test_unavailable_backend_falls_back(monkeypatch):
-    """Naming a backend that is not built resolves to python, not error."""
-    from repro.runtime import jit
-    if jit.available():  # pragma: no cover - numba present on this host
-        pytest.skip("numba installed; no unavailable name to test with")
-    monkeypatch.setenv(backends.BACKEND_ENV, "numba")
-    name, runner = backends.select_backend()
-    assert name == "python" and runner is None
+    """Naming a backend that cannot be built resolves to python, not error."""
+    from repro.runtime import csim
+    monkeypatch.setattr(csim, "available", lambda: False)
+    for env in ("c", "auto"):
+        monkeypatch.setenv(backends.BACKEND_ENV, env)
+        monkeypatch.setattr(backends, "_cached", None)
+        name, runner = backends.select_backend()
+        assert name == "python" and runner is None
+
+
+@pytest.mark.parametrize("env", ["pyton", "numba", "C-backend", ""])
+def test_unknown_backend_rejected(env, monkeypatch):
+    """A typo must not silently run some other kernel."""
+    monkeypatch.setenv(backends.BACKEND_ENV, env)
+    with pytest.raises(ValueError, match=r"auto\|c\|python") as exc:
+        backends.select_backend()
+    assert "\n" not in str(exc.value)
+    assert repr(env.lower()) in str(exc.value)

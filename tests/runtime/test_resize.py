@@ -80,6 +80,28 @@ class TestIdentityResize:
         assert json.dumps(resized.to_canonical(), sort_keys=True) == \
             json.dumps(plain.to_canonical(), sort_keys=True)
 
+    @pytest.mark.parametrize("kernel", ["lu", "cholesky"])
+    def test_resize_after_completion_is_noop(self, kernel):
+        # nothing is left to run at or after the plain makespan: no
+        # drain to t, no migration, no resize_stats — the plain run
+        graph, home, cluster = _case(5, m=8, kernel=kernel)
+        plain = simulate(graph, cluster, data_home=home)
+        want = json.dumps(plain.to_canonical(), sort_keys=True)
+        for t in (plain.makespan, plain.makespan * 1.5, 1.0):
+            resized = simulate(graph, cluster, data_home=home,
+                               resize=ResizeEvent(time=t, nnodes=7))
+            assert resized.resize_stats is None
+            assert resized.makespan == plain.makespan
+            assert json.dumps(resized.to_canonical(), sort_keys=True) == want
+
+    def test_resize_just_before_completion_still_migrates(self):
+        graph, home, cluster = _case(5, m=8)
+        plain = simulate(graph, cluster, data_home=home)
+        t = math.nextafter(plain.makespan, 0.0)
+        trace = simulate(graph, cluster, data_home=home,
+                         resize=ResizeEvent(time=t, nnodes=7))
+        assert trace.resize_stats is not None
+
     def test_no_migration_stats_means_breakdown_raises(self):
         graph, home, cluster = _case(7)
         trace = simulate(graph, cluster, data_home=home, resize="7@3e-5")

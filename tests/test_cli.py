@@ -31,6 +31,21 @@ class TestParser:
             assert build_parser().parse_args(cmd + ["-j", "0"]).jobs == 0
 
 
+    @pytest.mark.parametrize("cmd", [
+        ["pattern", "-P", "23", "--kernel", "cholesky"],
+        ["cost", "-P", "23"],
+        ["gcrm", "-P", "11"],
+        ["simulate", "-P", "10"],
+        ["db", "--max-nodes", "4", "--out", "x.json"],
+    ])
+    def test_delta_flag_removed(self, capsys, cmd):
+        """GCR&M has one construction path; ``--delta`` is not an option."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(cmd + ["--delta"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --delta" in capsys.readouterr().err
+
+
 class TestGcrmCommand:
     def test_flat_vs_hier_table(self, capsys):
         assert main(["gcrm", "-P", "11", "--topology", "2",
@@ -147,12 +162,33 @@ class TestSimulateCommand:
         ("simulate", "--resize", "7", "bad resize spec '7'"),
         ("campaign", "--faults", "bogus", "bad fault directive 'bogus'"),
         ("campaign", "--resize", "0@1", "resize nnodes must be >= 1, got 0"),
+        ("simulate", "--seeds", "0", "must be a positive integer, got '0'"),
+        ("pattern", "--seeds", "0", "must be a positive integer, got '0'"),
+        ("pattern", "--seeds", "many",
+         "must be a positive integer, got 'many'"),
+        ("cost", "--seeds", "-3", "must be a positive integer, got '-3'"),
+        ("gcrm", "--seeds", "0", "must be a positive integer, got '0'"),
+        ("db", "--seeds", "0", "must be a positive integer, got '0'"),
+        ("store precompute", "--budget", "0",
+         "must be a positive integer, got '0'"),
+        ("store query", "--budget", "-1",
+         "must be a positive integer, got '-1'"),
     ])
     def test_bad_spec_is_usage_error(self, capsys, cmd, flag, spec, message):
-        """Malformed --faults/--resize specs exit 2 with one error line
-        before any simulation runs, not with a traceback."""
+        """Malformed specs and non-positive search budgets exit 2 with
+        one error line before any work runs, not with a traceback."""
+        base = {
+            "simulate": ["-P", "5", "--tiles", "8"],
+            "campaign": ["-P", "5", "--tiles", "8"],
+            "pattern": ["-P", "23", "--kernel", "cholesky"],
+            "cost": ["-P", "5"],
+            "gcrm": ["-P", "5"],
+            "db": ["--max-nodes", "4", "--out", "db.json"],
+            "store precompute": ["--dir", "shards", "-P", "5"],
+            "store query": ["--dir", "shards", "-P", "5"],
+        }[cmd]
         with pytest.raises(SystemExit) as exc:
-            main([cmd, "-P", "5", "--tiles", "8", flag, spec])
+            main(cmd.split() + base + [flag, spec])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -160,6 +196,16 @@ class TestSimulateCommand:
         assert len(errors) == 1
         assert errors[0].startswith(
             f"repro {cmd}: error: argument {flag}: {message}")
+
+    def test_resize_after_completion_prints_plain_run(self, capsys):
+        """A resize past the plain run's makespan changes nothing."""
+        assert main(["simulate", "-P", "5", "--tiles", "8"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["simulate", "-P", "5", "--tiles", "8",
+                     "--resize", "7@1"]) == 0
+        resized = capsys.readouterr().out
+        assert resized == plain
+        assert "migration" not in resized
 
     def test_no_faults_no_degraded_block(self, capsys):
         assert main(["simulate", "-P", "6", "--tiles", "8",
