@@ -5,9 +5,8 @@ network) at m ∈ {16, 32, 64} tiles for both implementations, live on
 the same machine:
 
 * **legacy**: the frozen pre-refactor stack — per-tile-submit builder
-  (:func:`repro.runtime.objgraph.build_lu_graph_reference`) feeding the
-  object-walking event loop
-  (:func:`repro.runtime.objsim.simulate_reference`);
+  (``build_lu_graph_reference``) feeding the object-walking event loop
+  (``simulate_reference``), both from ``tests/runtime/object_reference.py``;
 * **columnar**: the vectorized batch builder
   (:func:`repro.dla.lu.build_lu_graph`) feeding the array hot path
   (:func:`repro.runtime.simulator.simulate`).
@@ -27,9 +26,9 @@ from repro.distribution import TileDistribution
 from repro.dla.lu import build_lu_graph, lu_task_count
 from repro.patterns.g2dbc import g2dbc
 from repro.runtime.cluster import ClusterSpec
-from repro.runtime.objgraph import build_lu_graph_reference
-from repro.runtime.objsim import simulate_reference
 from repro.runtime.simulator import simulate
+from tests.runtime.object_reference import (build_lu_graph_reference,
+                                            simulate_reference)
 
 from conftest import RESULTS_DIR
 

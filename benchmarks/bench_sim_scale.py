@@ -5,7 +5,7 @@ the speedup ladder, Cholesky for the streaming-trace leg) and records
 wall-clock plus peak RSS in ``benchmarks/results/sim_batch_speedup.txt``:
 
 * **legacy**   — the frozen pre-refactor object stack
-  (:mod:`repro.runtime.objgraph` + :mod:`repro.runtime.objsim`), the
+  (``tests/runtime/object_reference.py``), the
   end-to-end ≥10× denominator, run live at m = 128;
 * **python**   — the batch-drained pure-Python event loop
   (``REPRO_SIM_BACKEND=python``);
@@ -127,8 +127,8 @@ def test_sim_batch_speedup(benchmark):
         if m == 128:
             ratio_m128 = ratio
             if not FAST:
-                from repro.runtime.objgraph import build_lu_graph_reference
-                from repro.runtime.objsim import simulate_reference
+                from tests.runtime.object_reference import (
+                    build_lu_graph_reference, simulate_reference)
 
                 t0 = time.perf_counter()
                 lgraph, lhome = build_lu_graph_reference(dist, TILE)

@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "stopping near the sqrt(3P/2) cost floor")
 
     p = sub.add_parser("pattern", help="build and inspect a pattern")
-    p.add_argument("--nodes", "-P", type=int, required=True)
+    p.add_argument("--nodes", "-P", type=positive_int, required=True)
     p.add_argument("--kernel", choices=("lu", "cholesky"), default="lu")
     p.add_argument("--family", choices=sorted(PATTERN_FAMILIES), default=None)
     p.add_argument("--seeds", type=positive_int, default=20,
@@ -98,17 +98,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_search_flags(p)
 
     p = sub.add_parser("cost", help="compare pattern families for one P")
-    p.add_argument("--nodes", "-P", type=int, required=True)
-    p.add_argument("--tiles", type=int, default=100,
+    p.add_argument("--nodes", "-P", type=positive_int, required=True)
+    p.add_argument("--tiles", type=positive_int, default=100,
                    help="matrix size in tiles for volume predictions")
     p.add_argument("--seeds", type=positive_int, default=20)
     add_search_flags(p)
 
     p = sub.add_parser("gcrm",
                        help="flat vs hierarchy-aware GCR&M for one P")
-    p.add_argument("--nodes", "-P", type=int, required=True,
+    p.add_argument("--nodes", "-P", type=positive_int, required=True,
                    help="rank count (the pattern's P)")
-    p.add_argument("--topology", type=int, default=2,
+    p.add_argument("--topology", type=positive_int, default=2,
                    metavar="RANKS_PER_NODE",
                    help="ranks packed per physical machine (default 2)")
     p.add_argument("--inter-weight", type=float, default=4.0,
@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "inter-node ones in the hierarchical objective")
     p.add_argument("--kernel", choices=("lu", "cholesky"),
                    default="cholesky")
-    p.add_argument("--tiles", type=int, default=32,
+    p.add_argument("--tiles", type=positive_int, default=32,
                    help="matrix size in tiles for volume predictions")
     p.add_argument("--seeds", type=positive_int, default=20,
                    help="GCR&M search budget")
@@ -125,17 +125,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_search_flags(p)
 
     p = sub.add_parser("simulate", help="simulate a factorization run")
-    p.add_argument("--nodes", "-P", type=int, required=True)
-    p.add_argument("--tiles", type=int, default=48)
+    p.add_argument("--nodes", "-P", type=positive_int, required=True)
+    p.add_argument("--tiles", type=positive_int, default=48)
     p.add_argument("--kernel", choices=("lu", "cholesky"), default="lu")
     p.add_argument("--family", choices=sorted(PATTERN_FAMILIES), default=None)
-    p.add_argument("--tile-size", type=int, default=500)
+    p.add_argument("--tile-size", type=positive_int, default=500)
     p.add_argument("--seeds", type=positive_int, default=10)
     p.add_argument("--network", choices=sorted(NETWORK_MODELS), default="nic",
                    help="communication model (nic = legacy sender-serialized, "
                         "contention = rx serialization + latency + shared "
                         "link, hierarchical = two-level intra/inter-node)")
-    p.add_argument("--topology", type=int, default=1,
+    p.add_argument("--topology", type=positive_int, default=1,
                    metavar="RANKS_PER_NODE",
                    help="pack this many ranks per physical machine "
                         "(two-level topology; 1 = flat; > 1 switches the "
@@ -159,21 +159,23 @@ def build_parser() -> argparse.ArgumentParser:
                         "(chrome://tracing / Perfetto); memory stays bounded "
                         "no matter the task count")
     add_search_flags(p)
+    # checks that span several arguments report like argparse does
+    p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser("campaign",
                        help="predicted-vs-simulated sweep over a "
                             "(family x P x m x network) grid")
     p.add_argument("--families", nargs="+", default=["g2dbc", "gcrm"],
                    choices=sorted(PATTERN_FAMILIES), metavar="FAMILY")
-    p.add_argument("--nodes", "-P", nargs="+", type=int, required=True,
-                   metavar="P")
-    p.add_argument("--tiles", nargs="+", type=int, default=[16, 24],
-                   metavar="M", help="matrix sizes in tiles")
+    p.add_argument("--nodes", "-P", nargs="+", type=positive_int,
+                   required=True, metavar="P")
+    p.add_argument("--tiles", nargs="+", type=positive_int,
+                   default=[16, 24], metavar="M", help="matrix sizes in tiles")
     p.add_argument("--networks", nargs="+", default=["nic"],
                    choices=sorted(NETWORK_MODELS), metavar="MODEL")
     p.add_argument("--kernel", choices=("lu", "cholesky"), default=None,
                    help="force one kernel (default: each family's natural one)")
-    p.add_argument("--tile-size", type=int, default=500)
+    p.add_argument("--tile-size", type=positive_int, default=500)
     p.add_argument("--jobs", "-j", type=jobs_count, default=1, metavar="N",
                    help="worker processes (1 = serial, 0 = auto-select)")
     p.add_argument("--faults", nargs="+", type=spec_type(parse_faults),
@@ -189,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=registered_schedulers(), metavar="POLICY",
                    help="scheduler-policy axis; every row carries its "
                         "schedule lower bound and optimality_ratio")
-    p.add_argument("--topology", nargs="+", type=int, default=[1],
+    p.add_argument("--topology", nargs="+", type=positive_int, default=[1],
                    metavar="RANKS_PER_NODE",
                    help="ranks-per-node axis (1 = flat); hierarchical "
                         "cells carry per-level traffic columns")
@@ -222,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = store_sub.add_parser(
         "precompute", help="warm shards for a node-count range")
-    sp.add_argument("--nodes", "-P", nargs="+", type=int, default=None,
-                    metavar="P", help="explicit node counts")
+    sp.add_argument("--nodes", "-P", nargs="+", type=positive_int,
+                    default=None, metavar="P", help="explicit node counts")
     sp.add_argument("--range", nargs=2, type=int, default=None,
                     metavar=("LO", "HI"), help="inclusive node-count range")
     sp.add_argument("--force", action="store_true",
@@ -232,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = store_sub.add_parser(
         "query", help="batched lookup (falls back to a live search)")
-    sp.add_argument("--nodes", "-P", nargs="+", type=int, required=True,
-                    metavar="P")
+    sp.add_argument("--nodes", "-P", nargs="+", type=positive_int,
+                    required=True, metavar="P")
     sp.add_argument("--no-write-back", action="store_true",
                     help="do not persist live-search fallbacks")
     add_store_flags(sp)
@@ -242,9 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="shard inventory and hit/miss/eviction counters")
     sp.add_argument("--dir", metavar="DIR", required=True,
                     help="store directory holding the npz shards")
-    sp.add_argument("--nodes", "-P", nargs="+", type=int, default=None,
-                    metavar="P", help="probe these node counts through the "
-                    "tiers first (read-only; absent counts stay misses)")
+    sp.add_argument("--nodes", "-P", nargs="+", type=positive_int,
+                    default=None, metavar="P",
+                    help="probe these node counts through the tiers first "
+                         "(read-only; absent counts stay misses)")
     sp.add_argument("--kernel", choices=("lu", "cholesky"),
                     default="cholesky")
     sp.add_argument("--family", default="best",
@@ -265,10 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="experiment ids (e.g. fig4 table1b)")
 
     p = sub.add_parser("validate", help="numeric factorization + message check")
-    p.add_argument("--tiles", type=int, default=10)
-    p.add_argument("--tile-size", type=int, default=16)
+    p.add_argument("--tiles", type=positive_int, default=10)
+    p.add_argument("--tile-size", type=positive_int, default=16)
     p.add_argument("--kernel", choices=("lu", "cholesky"), default="cholesky")
-    p.add_argument("--nodes", "-P", type=int, default=10)
+    p.add_argument("--nodes", "-P", type=positive_int, default=10)
     return parser
 
 
@@ -384,7 +387,11 @@ def cmd_simulate(args) -> int:
                                 migration_breakdown)
 
     if args.faults and args.resize:
-        raise SystemExit("--resize cannot be combined with --faults")
+        args.usage_error("argument --resize: cannot be combined with --faults")
+    for failure in parse_faults(args.faults).failures:
+        if failure.node >= args.nodes:
+            args.usage_error(f"argument --faults: fault plan fails node "
+                             f"{failure.node} but -P is {args.nodes}")
     pat = _get_pattern(args)
     writer = None
     if args.trace_out:

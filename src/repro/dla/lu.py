@@ -77,8 +77,8 @@ def build_lu_graph(
     The graph is emitted iteration by iteration as whole-panel /
     whole-trailing-update array batches (two ``append_batch`` calls per
     ``k``, no per-tile ``submit``), producing exactly the task sequence
-    of the per-tile reference builder
-    (:func:`repro.runtime.objgraph.build_lu_graph_reference`): tile
+    of the test-only per-tile reference builder
+    (``build_lu_graph_reference`` in ``tests/runtime/object_reference.py``): tile
     ``(i, j)`` is written once per iteration ``k ≤ min(i, j)``, so at
     iteration ``k`` every touched tile moves from version ``k`` to
     ``k + 1``.

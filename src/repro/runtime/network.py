@@ -60,6 +60,10 @@ from .cluster import ClusterSpec
 from .graph import DataRef
 from .trace import MsgRecord
 
+#: A message handle: a plan uid in the simulator, a ``(data, version)``
+#: tuple in the fault engine and the resize replay.
+MsgRef = Union[int, DataRef]
+
 __all__ = [
     "EVENT_TASK_DONE",
     "EVENT_MSG_ARRIVE",
@@ -129,7 +133,7 @@ class NetworkModel:
 
     def bind(self, cluster: ClusterSpec,
              push_event: Callable[[float, int, object], None],
-             record: bool = False, writer=None) -> None:
+             record: bool = False, writer=None, names=None) -> None:
         """Attach the model to one run.
 
         ``record=True`` accumulates :class:`MsgRecord` lists in memory
@@ -137,6 +141,10 @@ class NetworkModel:
         :class:`~repro.runtime.trace.TraceWriter` as ``writer`` streams
         each record out instead and leaves ``msg_records`` ``None`` —
         bounded-memory recording for large runs.
+
+        Message refs are opaque to the model.  ``names[ref]`` is the
+        ``(data, version)`` a record carries for ``ref`` (the simulator
+        passes plan uids); without ``names`` each ref is that tuple.
         """
         self.cluster = cluster
         self._push = push_event
@@ -148,16 +156,20 @@ class NetworkModel:
         self.bytes_recv = np.zeros(P)
         self.tx_busy = np.zeros(P)
         self.rx_busy = np.zeros(P)
-        self._writer = writer
         self.msg_records: Optional[List[MsgRecord]] = \
             [] if record and writer is None else None
+        # one call per recorded message, or None when nothing records
+        self._sink = (writer.write_msg if writer is not None
+                      else None if self.msg_records is None
+                      else self.msg_records.append)
+        self._names = names
         self._bind()
 
     def _bind(self) -> None:  # pragma: no cover - overridden
         pass
 
     # ------------------------------------------------------------------
-    def send(self, ref: DataRef, src: int, dst: int, t: float) -> None:
+    def send(self, ref: MsgRef, src: int, dst: int, t: float) -> None:
         raise NotImplementedError
 
     def multicast(self, src: int, dests, t: float) -> None:
@@ -165,21 +177,17 @@ class NetworkModel:
         for ref, dst in dests:
             self.send(ref, src, dst, t)
 
-    def on_internal(self, payload, now: float) -> List[Tuple[DataRef, int]]:
+    def on_internal(self, payload, now: float) -> List[Tuple[MsgRef, int]]:
         """Handle a model-internal event; return completed arrivals."""
         return []
 
     # ------------------------------------------------------------------
-    def _record(self, ref: DataRef, src: int, dst: int,
+    def _record(self, ref: MsgRef, src: int, dst: int,
                 start: float, end: float, nbytes: float) -> None:
-        if self._writer is not None:
-            self._writer.write_msg(
-                MsgRecord(data=ref[0], version=ref[1], src=src, dst=dst,
-                          start=start, end=end, nbytes=nbytes))
-        elif self.msg_records is not None:
-            self.msg_records.append(
-                MsgRecord(data=ref[0], version=ref[1], src=src, dst=dst,
-                          start=start, end=end, nbytes=nbytes))
+        if self._sink is not None:
+            data, version = ref if self._names is None else self._names[ref]
+            self._sink(MsgRecord(data=data, version=version, src=src,
+                                 dst=dst, start=start, end=end, nbytes=nbytes))
 
     def stats(self) -> NetworkStats:
         return NetworkStats(
@@ -226,7 +234,7 @@ class NicModel(NetworkModel):
         self.tx_busy = [0.0] * P
         self.rx_busy = [0.0] * P
 
-    def send(self, ref: DataRef, src: int, dst: int, t: float) -> None:
+    def send(self, ref: MsgRef, src: int, dst: int, t: float) -> None:
         mt = self.msg_time
         start = max(t, self.tx_free[src])
         if self._rx_ser:
@@ -244,7 +252,7 @@ class NicModel(NetworkModel):
         self.bytes_recv[dst] += nbytes
         self.tx_busy[src] += mt
         self.rx_busy[dst] += mt
-        if self.msg_records is not None or self._writer is not None:
+        if self._sink is not None:
             self._record(ref, src, dst, start, arrival, nbytes)
         self._push(arrival, EVENT_MSG_ARRIVE, (ref, dst))
 
@@ -297,7 +305,7 @@ class _Flow:
     __slots__ = ("ref", "src", "dst", "nbytes", "t0", "remaining", "rate",
                  "version", "active")
 
-    def __init__(self, ref: DataRef, src: int, dst: int, nbytes: float, t0: float):
+    def __init__(self, ref: MsgRef, src: int, dst: int, nbytes: float, t0: float):
         self.ref = ref
         self.src = src
         self.dst = dst
@@ -362,7 +370,7 @@ class ContentionModel(NetworkModel):
         self.n_rendezvous = 0
 
     # ------------------------------------------------------------------
-    def send(self, ref: DataRef, src: int, dst: int, t: float) -> None:
+    def send(self, ref: MsgRef, src: int, dst: int, t: float) -> None:
         self._queues[src].append((ref, dst))
         self._pump(t)
 
@@ -377,7 +385,7 @@ class ContentionModel(NetworkModel):
             self._queues[src].popleft()
             self._start_flow(ref, src, dst, now)
 
-    def _start_flow(self, ref: DataRef, src: int, dst: int, now: float) -> None:
+    def _start_flow(self, ref: MsgRef, src: int, dst: int, now: float) -> None:
         nbytes = float(self.cluster.tile_bytes)
         eager = nbytes <= self.eager_threshold
         lat = self.alpha if eager else self.alpha * (1 + self.handshake_rtts)
@@ -420,7 +428,7 @@ class ContentionModel(NetworkModel):
             self._push(now + flow.remaining / rate, EVENT_NET_INTERNAL,
                        ("fin", fid, flow.version))
 
-    def on_internal(self, payload, now: float) -> List[Tuple[DataRef, int]]:
+    def on_internal(self, payload, now: float) -> List[Tuple[MsgRef, int]]:
         kind = payload[0]
         if kind == "data":
             fid = payload[1]
@@ -526,7 +534,7 @@ class HierarchicalModel(ContentionModel):
         self.intra_link_busy = 0.0
 
     # ------------------------------------------------------------------
-    def _start_flow(self, ref: DataRef, src: int, dst: int, now: float) -> None:
+    def _start_flow(self, ref: MsgRef, src: int, dst: int, now: float) -> None:
         nbytes = float(self.cluster.tile_bytes)
         src_node = int(self._rank_nodes[src])
         inter = src_node != int(self._rank_nodes[dst])
@@ -596,7 +604,7 @@ class HierarchicalModel(ContentionModel):
             self._push(now + flow.remaining / rate, EVENT_NET_INTERNAL,
                        ("fin", fid, flow.version))
 
-    def on_internal(self, payload, now: float) -> List[Tuple[DataRef, int]]:
+    def on_internal(self, payload, now: float) -> List[Tuple[MsgRef, int]]:
         out = super().on_internal(payload, now)
         if payload[0] != "data" and out:
             self._flow_level.pop(payload[1], None)
@@ -662,12 +670,13 @@ class ResilientNetwork(NetworkModel):
 
     def bind(self, cluster: ClusterSpec,
              push_event: Callable[[float, int, object], None],
-             record: bool = False, writer=None) -> None:
+             record: bool = False, writer=None, names=None) -> None:
         from .faults import FaultEvent  # late: faults imports this module
         self._FaultEvent = FaultEvent
         self.cluster = cluster
         self._push = push_event
-        self.inner.bind(cluster, push_event, record=record, writer=writer)
+        self.inner.bind(cluster, push_event, record=record, writer=writer,
+                        names=names)
         plan = self.plan
         self._rng = np.random.Generator(np.random.PCG64(plan.seed))
         self._timeout = (plan.retry_timeout_s if plan.retry_timeout_s is not None

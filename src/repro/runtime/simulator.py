@@ -1,4 +1,4 @@
-"""Event-driven simulator of a task-based distributed runtime (v3).
+"""Event-driven simulator of a task-based distributed runtime.
 
 Models the Chameleon/StarPU execution of Section II-C:
 
@@ -20,30 +20,26 @@ Models the Chameleon/StarPU execution of Section II-C:
   like the runtime-based execution the paper credits for beating
   fork-join MPI codes.
 
-The v3 hot path is split in three layers:
+:mod:`~repro.runtime.simplan` derives the dependency countdowns, the
+CSR local-dependents and message-waiters tables and the uid-encoded
+message plan as NumPy arrays, cached per graph.  Two event loops
+consume that plan:
 
-1. **Plan** — :mod:`~repro.runtime.simplan` derives the dependency
-   countdowns, the CSR local-dependents table and the uid-encoded
-   message plan as pure NumPy arrays (no Python dict/list assembly),
-   cached per graph so repeated simulations of one graph — a campaign
-   cell's baseline + degraded runs, or a network-model sweep — pay for
-   planning once.
-2. **Backend** — for the default configuration (priority scheduler, no
-   fork-join, no recording, NIC network, p2p multicast) the event loop
-   runs compiled: a ctypes-bound C loop (:mod:`~repro.runtime.csim`)
-   compiled on demand.  It replicates the Python loop event for event;
-   ``REPRO_SIM_BACKEND`` (``auto|c|python``) forces a choice.
-3. **Python loop** — the always-available fallback (and the only path
-   for recording, fork-join, ablation schedulers and the contention
-   model).  It drains the event heap in same-timestamp batches and
-   admits newly-ready tasks through bulk ``heapify`` instead of
-   per-task pushes whenever a queue refills from empty.
+* the compiled C loop (:mod:`~repro.runtime.csim`), for the default
+  configuration only: priority scheduler, no fork-join, no recording,
+  NIC network, p2p multicast.  ``REPRO_SIM_BACKEND``
+  (``auto|c|python``) forces a choice;
+* the Python loop, for everything else (recording, fork-join, the
+  ablation schedulers, the contention and hierarchical models).  A
+  message is always its plan uid; the network model names it
+  ``(data, version)`` only when it writes a
+  :class:`~repro.runtime.trace.MsgRecord`.  Task completions under the
+  priority scheduler take one inlined path; recording is a hook on it.
 
-The event schedule, and therefore every trace, is bit-for-bit
-identical across all three layers and to the previous per-event
-implementation: ties break on the shared seq-tagged event keys, ready
-heaps pop unique packed priority keys, and the golden-trace tests pin
-the result for every backend.
+Both loops produce the same event schedule, byte for byte: ties break
+on the shared seq-tagged event keys, ready heaps pop unique packed
+priority keys, and the golden-trace and cross-backend tests pin the
+result.
 
 The simulator is deterministic for a given graph, cluster and network
 model.  With ``record_tasks=True`` the returned trace carries per-task
@@ -64,7 +60,6 @@ from .cluster import ClusterSpec
 from .graph import TaskGraph
 from .network import (
     EVENT_MSG_ARRIVE,
-    EVENT_NET_INTERNAL,
     EVENT_TASK_DONE,
     NetworkModel,
     NetworkStats,
@@ -79,7 +74,6 @@ __all__ = ["simulate", "SimulationError"]
 
 _TASK_DONE = EVENT_TASK_DONE
 _MSG_ARRIVE = EVENT_MSG_ARRIVE
-_NET_INTERNAL = EVENT_NET_INTERNAL
 
 
 class SimulationError(RuntimeError):
@@ -149,33 +143,27 @@ def simulate(
         routes to :func:`~repro.runtime.resize.simulate_with_resize`.
         Cannot be combined with a non-empty ``faults`` plan.
     """
+    if isinstance(resize, str):
+        from .resize import parse_resize
+        resize = parse_resize(resize)
+    if isinstance(faults, str):
+        from .faults import parse_faults
+        faults = parse_faults(faults)
     if resize is not None:
-        if isinstance(resize, str):
-            from .resize import parse_resize
-            resize = parse_resize(resize)
-        if resize is not None:
-            if faults is not None:
-                if isinstance(faults, str):
-                    from .faults import parse_faults
-                    faults = parse_faults(faults)
-                if faults:
-                    raise SimulationError(
-                        "resize and faults cannot be combined in one run")
-            from .resize import simulate_with_resize
-            return simulate_with_resize(
-                graph, cluster, resize, data_home=data_home,
-                record_tasks=record_tasks, network=network,
-                trace_writer=trace_writer)
-    if faults is not None:
-        if isinstance(faults, str):
-            from .faults import parse_faults
-            faults = parse_faults(faults)
         if faults:
-            from .faults import simulate_with_faults
-            return simulate_with_faults(
-                graph, cluster, faults, data_home=data_home,
-                record_tasks=record_tasks, network=network,
-                recovery=recovery, trace_writer=trace_writer)
+            raise SimulationError(
+                "resize and faults cannot be combined in one run")
+        from .resize import simulate_with_resize
+        return simulate_with_resize(
+            graph, cluster, resize, data_home=data_home,
+            record_tasks=record_tasks, network=network,
+            trace_writer=trace_writer)
+    if faults:
+        from .faults import simulate_with_faults
+        return simulate_with_faults(
+            graph, cluster, faults, data_home=data_home,
+            record_tasks=record_tasks, network=network,
+            recovery=recovery, trace_writer=trace_writer)
     model = make_network(network)
     n_tasks = len(graph)
     if n_tasks == 0:
@@ -203,9 +191,7 @@ def simulate(
         dur_a = dur_a / np.asarray(cluster.node_speeds,
                                    dtype=np.float64)[cols.node]
 
-    # ------------------------------------------------------------------
-    # Compiled C backend: default configuration only
-    # ------------------------------------------------------------------
+    res = None
     if (not record_tasks and trace_writer is None
             and cluster.scheduler == "priority" and not cluster.fork_join
             and cluster.multicast == "p2p" and type(model) is NicModel):
@@ -214,45 +200,57 @@ def simulate(
             res = runner(plan, dur_a, cluster.nnodes,
                          cluster.cores_per_node, cluster.message_time(),
                          cluster.rx_serialization)
-            if res is not None:
-                if res.completed != n_tasks:
-                    _raise_deadlock(graph, n_tasks, res.completed,
-                                    res.pending.tolist(), {})
-                nbytes = float(cluster.tile_bytes)
-                net_stats = NetworkStats(
-                    model="nic",
-                    msgs_sent=res.msgs_sent, msgs_recv=res.msgs_recv,
-                    bytes_sent=res.msgs_sent * nbytes,
-                    bytes_recv=res.msgs_recv * nbytes,
-                    tx_busy=res.tx_busy, rx_busy=res.rx_busy)
-                return ExecutionTrace(
-                    cluster=cluster,
-                    makespan=res.makespan,
-                    total_flops=graph.total_flops,
-                    n_tasks=n_tasks,
-                    n_messages=res.n_messages,
-                    bytes_sent=float(res.n_messages) * cluster.tile_bytes,
-                    busy_time=res.busy,
-                    sent_messages=res.msgs_sent,
-                    network=model.name,
-                    recv_messages=res.msgs_recv,
-                    net_stats=net_stats,
-                )
+    if res is not None:
+        if res.completed != n_tasks:
+            _raise_deadlock(graph, n_tasks, res.completed,
+                            res.pending.tolist(), {})
+        makespan, busy, n_messages = res.makespan, res.busy, res.n_messages
+        records = completion = msg_records = None
+        nbytes = float(cluster.tile_bytes)
+        net_stats = NetworkStats(
+            model="nic",
+            msgs_sent=res.msgs_sent, msgs_recv=res.msgs_recv,
+            bytes_sent=res.msgs_sent * nbytes,
+            bytes_recv=res.msgs_recv * nbytes,
+            tx_busy=res.tx_busy, rx_busy=res.rx_busy)
+    else:
+        makespan, busy, records, completion = _event_loop(
+            graph, cluster, plan, dur_a, model, record_tasks, trace_writer)
+        n_messages = model.n_messages
+        msg_records = model.msg_records
+        net_stats = model.stats()
+    return ExecutionTrace(
+        cluster=cluster,
+        makespan=makespan,
+        total_flops=graph.total_flops,
+        n_tasks=n_tasks,
+        n_messages=n_messages,
+        bytes_sent=float(n_messages) * cluster.tile_bytes,
+        busy_time=busy,
+        sent_messages=net_stats.msgs_sent,
+        task_records=records,
+        completion_times=completion,
+        network=model.name,
+        recv_messages=net_stats.msgs_recv,
+        net_stats=net_stats,
+        msg_records=msg_records,
+    )
 
-    # ------------------------------------------------------------------
-    # Python event loop: hot-path state as plain-list plan copies
-    # ------------------------------------------------------------------
-    # Message refs: the compiled-eligible path uses the bare uid as the
-    # opaque ref (waiter lookup is then a CSR slice, no hashing); when
-    # records are produced the legacy (data, version) tuples are used
-    # instead, since they end up in MsgRecords.  Schedules are identical
-    # either way — refs never participate in event ordering.
-    recording = record_tasks or trace_writer is not None
-    use_codes = not recording
+
+def _event_loop(graph: TaskGraph, cluster: ClusterSpec, plan, dur_a,
+                model: NetworkModel, record_tasks: bool,
+                trace_writer: Optional[TraceWriter]):
+    """Run the Python event loop over ``plan`` with ``model`` bound.
+
+    Returns ``(makespan, busy_time, task_records, completion_times)``;
+    the model keeps the message counters and records.
+    """
+    cols = graph.columns
+    n_tasks = len(graph)
     Pn = cluster.nnodes
 
+    # hot-path state as plain-list plan copies
     node_l = plan.node.tolist()
-    k_l = cols.k.tolist()
     pending_l = plan.pending.tolist()
     dur_l = dur_a.tolist()
     keys_l = plan.keys.tolist()
@@ -262,34 +260,26 @@ def simulate(
     w_tasks = plan.w_tasks.tolist()
     mdst_l = plan.msg_dst.tolist()
 
-    if use_codes:
-        ref_l: List = list(range(plan.n_msgs))
-        msg_waiters: Dict = {}
-    else:
-        ref_l = list(zip(plan.msg_data.tolist(), plan.msg_version.tolist()))
-        msg_waiters = {
-            (ref_l[uid], mdst_l[uid]): w_tasks[w_indptr[uid]:w_indptr[uid + 1]]
-            for uid in range(plan.n_msgs)
-        }
-
-    # dense per-task push plan: tid -> [(ref, dst)] or None
+    # a message travels as its plan uid: waiters are a CSR slice, and
+    # the network model turns a uid into ``(data, version)`` through
+    # ``names`` only when it writes a MsgRecord
     push_plan_l: List[Optional[list]] = [None] * n_tasks
     pp = plan.push_indptr
     for tid in np.flatnonzero(np.diff(pp)).tolist():
-        push_plan_l[tid] = [(ref_l[uid], mdst_l[uid])
+        push_plan_l[tid] = [(uid, mdst_l[uid])
                             for uid in plan.push_uids[pp[tid]:pp[tid + 1]].tolist()]
+    recording = record_tasks or trace_writer is not None
+    names = (list(zip(plan.msg_data.tolist(), plan.msg_version.tolist()))
+             if recording else None)
 
-    initial_msgs = [(ref_l[uid], int(plan.msg_src[uid]), mdst_l[uid])
-                    for uid in plan.init_uids.tolist()]
-
-    idle = [cluster.cores_per_node] * cluster.nnodes
-    ready: List[List[int]] = [[] for _ in range(cluster.nnodes)]
-    busy = [0.0] * cluster.nnodes
+    idle = [cluster.cores_per_node] * Pn
+    ready: List[List[int]] = [[] for _ in range(Pn)]
+    busy = [0.0] * Pn
     completion = np.zeros(n_tasks) if record_tasks else None
     records: Optional[List[TaskRecord]] = \
         [] if record_tasks and trace_writer is None else None
-    # one call per started task: list append (legacy in-memory records)
-    # or the streaming writer's bounded-buffer ingest
+    # one call per started task: list append (in-memory records) or the
+    # streaming writer's bounded-buffer ingest
     if trace_writer is not None:
         rec_task = trace_writer.write_task
     elif records is not None:
@@ -305,23 +295,21 @@ def simulate(
     seq = 0
     heappush = heapq.heappush
     heappop = heapq.heappop
-    heapify = heapq.heapify
 
     def push_event(time: float, etype: int, payload) -> None:
         nonlocal seq
         seq += 4
         heappush(events, (time, seq + etype, payload))
 
-    model.bind(cluster, push_event, record=record_tasks, writer=trace_writer)
+    model.bind(cluster, push_event, record=record_tasks, writer=trace_writer,
+               names=names)
 
     # scheduling policy, resolved through the registry: static policies
     # provide a per-task key table (the default priority policy returns
-    # ``plan.keys`` by identity, so ``static_l`` aliases ``keys_l`` and
-    # the arithmetic below is unchanged); dynamic policies (fifo/lifo)
-    # pack the enqueue sequence number instead.
-    policy = cluster.scheduler
-    prio = policy == "priority"
-    sched = make_scheduler(policy)
+    # ``plan.keys`` by identity, so ``static_l`` aliases ``keys_l``);
+    # dynamic policies (fifo/lifo) pack the enqueue sequence number
+    # instead.
+    sched = make_scheduler(cluster.scheduler)
     if sched.dynamic:
         static_l: Optional[List[int]] = None
         dyn_key = sched.dynamic_key
@@ -338,6 +326,7 @@ def simulate(
     fj = cluster.fork_join
     deferred: Dict[int, List[int]] = {}
     if fj:
+        k_l = cols.k.tolist()
         uk, uc = np.unique(cols.k, return_counts=True)
         remaining = dict(zip(uk.tolist(), uc.tolist()))
         iterations = sorted(remaining)
@@ -346,6 +335,10 @@ def simulate(
         iterations = []
     gate_idx = 0
     gate_val = iterations[0] if iterations else (1 << 62)
+
+    # the priority scheduler without a fork-join gate takes the inlined
+    # TASK_DONE path below; every other policy goes through enqueue
+    fast = not fj and cluster.scheduler == "priority"
 
     def enqueue(tid: int) -> int:
         """Push a ready task onto its node's scheduling queue, keyed by
@@ -382,11 +375,6 @@ def simulate(
             if rec_task is not None:
                 rec_task(TaskRecord(tid=tid, node=n, start=t, end=t + dur))
         idle[n] = idl
-
-    fast = not fj and prio
-    # fully specialized hot path: priority scheduler, no fork-join gate,
-    # no task recording (``use_codes`` implies rec_task is None)
-    ffast = fast and use_codes
 
     # work stealing (see schedulers.py): after each event batch, idle
     # nodes with empty queues pull queued tasks from victims.  The
@@ -427,19 +415,15 @@ def simulate(
                         break
                 idle[n] = idl
 
-    def deliver(ref, dst: int, t: float, msg_waiters=msg_waiters,
-                pending_l=pending_l, keys_l=keys_l, ready=ready,
-                heappush=heappush, fast=fast) -> None:
-        """A message arrived: wake its waiting consumers.
+    def deliver(uid: int, dst: int, t: float, pending_l=pending_l,
+                keys_l=keys_l, ready=ready, heappush=heappush,
+                fast=fast) -> None:
+        """Message ``uid`` arrived at ``dst``: wake its waiting consumers.
 
-        Every waiter of ``(ref, dst)`` reads on node ``dst``, so at
-        most that one node gains ready tasks."""
-        if use_codes:
-            waiters = w_tasks[w_indptr[ref]:w_indptr[ref + 1]]
-        else:
-            waiters = msg_waiters.get((ref, dst), ())
+        Every waiter reads on node ``dst``, so at most that one node
+        gains ready tasks."""
         any_ready = False
-        for dep in waiters:
+        for dep in w_tasks[w_indptr[uid]:w_indptr[uid + 1]]:
             p = pending_l[dep] - 1
             pending_l[dep] = p
             if p == 0:
@@ -456,15 +440,15 @@ def simulate(
 
     # seed: initial messages and dependency-free tasks, then one
     # dispatch per touched node in ascending node order (deterministic,
-    # matching the compiled backends)
-    for ref, src, dst in initial_msgs:
-        model.send(ref, src, dst, 0.0)
+    # matching the compiled backend)
+    for uid in plan.init_uids.tolist():
+        model.send(uid, int(plan.msg_src[uid]), mdst_l[uid], 0.0)
     for tid in np.flatnonzero(plan.pending == 0).tolist():
         if fj and k_l[tid] > gate_val:
             deferred.setdefault(k_l[tid], []).append(tid)
         else:
             enqueue(tid)
-    for n in range(cluster.nnodes):
+    for n in range(Pn):
         if ready[n]:
             dispatch(n, 0.0)
     if stealing:
@@ -473,14 +457,13 @@ def simulate(
     # ------------------------------------------------------------------
     # Event loop
     # ------------------------------------------------------------------
-    # the TASK_DONE branch is the hot path: for the default
-    # configuration (no fork-join barrier, priority scheduler) enqueue
-    # and dispatch are fully inlined — at m=64 the function-call
-    # overhead alone is ~30% of the loop.  The heap is drained in
-    # same-timestamp batches: each iteration of the outer loop pins
-    # ``now`` and the inner loop keeps popping while the heap head
-    # stays at ``now`` — events pushed *during* the batch land behind
-    # the drained ones (their seq tags are larger), so processing
+    # the TASK_DONE branch is the hot path: under the priority scheduler
+    # without a fork-join gate, enqueue and dispatch are inlined — the
+    # function-call overhead alone is a large share of the loop.  The
+    # heap is drained in same-timestamp batches: each iteration of the
+    # outer loop pins ``now`` and the inner loop keeps popping while the
+    # heap head stays at ``now`` — events pushed *during* the batch land
+    # behind the drained ones (their seq tags are larger), so processing
     # order is identical to one-at-a-time popping.
     now = 0.0
     completed = 0
@@ -492,189 +475,70 @@ def simulate(
                 tid = payload
                 completed += 1
                 tnode = node_l[tid]
-                # wake local dependents, then refill the freed worker.
-                # Local dependents always run on the producer's node
-                # (that is what makes them local), so completion wakes
-                # exactly one node — no set bookkeeping on the fast path.
-                if ffast:
-                    dests = push_plan_l[tid]
-                    if dests is not None:
-                        model.multicast(tnode, dests, now)
+                if completion is not None:
+                    completion[tid] = now
+                # push produced version to remote consumers
+                dests = push_plan_l[tid]
+                if dests is not None:
+                    model.multicast(tnode, dests, now)
+                if fast:
+                    # wake local dependents, then refill the freed
+                    # worker.  Local dependents always run on the
+                    # producer's node (that is what makes them local),
+                    # so completion wakes exactly one node.
                     rq = ready[tnode]
-                    s = ld_indptr[tid]
-                    e = ld_indptr[tid + 1]
+                    for dep in ld_tasks[ld_indptr[tid]:ld_indptr[tid + 1]]:
+                        p = pending_l[dep] - 1
+                        pending_l[dep] = p
+                        if p == 0:
+                            heappush(rq, keys_l[dep])
                     idl = idle[tnode] + 1
-                    if s != e and not rq:
-                        # heap bypass: the queue is empty, so pushing
-                        # the newly-ready set and draining would hand it
-                        # back in sorted key order — start the head
-                        # directly, bulk-heapify any overflow
-                        new = None
-                        for dep in ld_tasks[s:e]:
-                            p = pending_l[dep] - 1
-                            pending_l[dep] = p
-                            if p == 0:
-                                if new is None:
-                                    new = [keys_l[dep]]
-                                else:
-                                    new.append(keys_l[dep])
-                        if new is not None:
-                            if len(new) <= idl:
-                                if len(new) > 1:
-                                    new.sort()
-                                for key in new:
-                                    tid2 = key & 0xFFFFFFFF
-                                    idl -= 1
-                                    dur = dur_l[tid2]
-                                    busy[tnode] += dur
-                                    seq += 4
-                                    heappush(events, (now + dur, seq, tid2))
-                            else:
-                                heapify(new)
-                                ready[tnode] = rq = new
-                                while idl > 0 and rq:
-                                    tid2 = heappop(rq) & 0xFFFFFFFF
-                                    idl -= 1
-                                    dur = dur_l[tid2]
-                                    busy[tnode] += dur
-                                    seq += 4
-                                    heappush(events, (now + dur, seq, tid2))
-                    else:
-                        if s != e:
-                            for dep in ld_tasks[s:e]:
-                                p = pending_l[dep] - 1
-                                pending_l[dep] = p
-                                if p == 0:
-                                    heappush(rq, keys_l[dep])
-                        while idl > 0 and rq:
-                            tid2 = heappop(rq) & 0xFFFFFFFF
-                            idl -= 1
-                            dur = dur_l[tid2]
-                            busy[tnode] += dur
-                            seq += 4
-                            heappush(events, (now + dur, seq, tid2))
+                    while idl > 0 and rq:
+                        tid2 = heappop(rq) & 0xFFFFFFFF
+                        idl -= 1
+                        dur = dur_l[tid2]
+                        busy[tnode] += dur
+                        seq += 4
+                        heappush(events, (now + dur, seq, tid2))
+                        if rec_task is not None:
+                            rec_task(TaskRecord(tid=tid2, node=tnode,
+                                                start=now, end=now + dur))
                     idle[tnode] = idl
                 else:
-                    if completion is not None:
-                        completion[tid] = now
-                    # push produced version to remote consumers
-                    dests = push_plan_l[tid]
-                    if dests is not None:
-                        model.multicast(tnode, dests, now)
-                    if fast:
-                        rq = ready[tnode]
-                        s = ld_indptr[tid]
-                        e = ld_indptr[tid + 1]
-                        if s != e:
-                            for dep in ld_tasks[s:e]:
-                                p = pending_l[dep] - 1
-                                pending_l[dep] = p
-                                if p == 0:
-                                    heappush(rq, keys_l[dep])
-                        idl = idle[tnode] + 1
-                        while idl > 0 and rq:
-                            tid2 = heappop(rq) & 0xFFFFFFFF
-                            idl -= 1
-                            dur = dur_l[tid2]
-                            busy[tnode] += dur
-                            seq += 4
-                            heappush(events, (now + dur, seq, tid2))
-                            if rec_task is not None:
-                                rec_task(TaskRecord(tid=tid2, node=tnode,
-                                                    start=now, end=now + dur))
-                        idle[tnode] = idl
-                    else:
-                        woken = {tnode}
-                        for dep in ld_tasks[ld_indptr[tid]:ld_indptr[tid + 1]]:
-                            p = pending_l[dep] - 1
-                            pending_l[dep] = p
-                            if p == 0:
-                                if fj and k_l[dep] > gate_val:
-                                    deferred.setdefault(k_l[dep], []).append(dep)
-                                else:
-                                    woken.add(enqueue(dep))
-                        if fj:
-                            remaining[k_l[tid]] -= 1
-                            while (gate_idx < len(iterations)
-                                   and remaining[iterations[gate_idx]] == 0):
-                                gate_idx += 1
-                                if gate_idx < len(iterations):
-                                    for tid2 in deferred.pop(iterations[gate_idx], ()):  # noqa: B007
-                                        woken.add(enqueue(tid2))
-                            gate_val = (iterations[gate_idx]
-                                        if gate_idx < len(iterations) else (1 << 62))
-                        if stealing:
-                            # a stolen task frees a core on the thief,
-                            # not the owner; wakes stay with the owner
-                            wnode = ran_on.pop(tid, tnode)
-                            idle[wnode] += 1
-                            woken.add(wnode)
-                        else:
-                            idle[tnode] += 1
-                        for n in sorted(woken):
-                            dispatch(n, now)
-            elif etype == _MSG_ARRIVE:
-                ref, dst = payload
-                if ffast:
-                    # inlined deliver + dispatch for the default path:
-                    # waiters come straight off the uid-indexed CSR slice
-                    rq = ready[dst]
-                    idl = idle[dst]
-                    if not rq and idl > 0:
-                        # heap bypass (see TASK_DONE branch)
-                        new = None
-                        for dep in w_tasks[w_indptr[ref]:w_indptr[ref + 1]]:
-                            p = pending_l[dep] - 1
-                            pending_l[dep] = p
-                            if p == 0:
-                                if new is None:
-                                    new = [keys_l[dep]]
-                                else:
-                                    new.append(keys_l[dep])
-                        if new is not None:
-                            if len(new) <= idl:
-                                if len(new) > 1:
-                                    new.sort()
-                                for key in new:
-                                    tid2 = key & 0xFFFFFFFF
-                                    idl -= 1
-                                    dur = dur_l[tid2]
-                                    busy[dst] += dur
-                                    seq += 4
-                                    heappush(events, (now + dur, seq, tid2))
+                    woken = {tnode}
+                    for dep in ld_tasks[ld_indptr[tid]:ld_indptr[tid + 1]]:
+                        p = pending_l[dep] - 1
+                        pending_l[dep] = p
+                        if p == 0:
+                            if fj and k_l[dep] > gate_val:
+                                deferred.setdefault(k_l[dep], []).append(dep)
                             else:
-                                heapify(new)
-                                ready[dst] = rq = new
-                                while idl > 0 and rq:
-                                    tid2 = heappop(rq) & 0xFFFFFFFF
-                                    idl -= 1
-                                    dur = dur_l[tid2]
-                                    busy[dst] += dur
-                                    seq += 4
-                                    heappush(events, (now + dur, seq, tid2))
-                            idle[dst] = idl
+                                woken.add(enqueue(dep))
+                    if fj:
+                        remaining[k_l[tid]] -= 1
+                        while (gate_idx < len(iterations)
+                               and remaining[iterations[gate_idx]] == 0):
+                            gate_idx += 1
+                            if gate_idx < len(iterations):
+                                for tid2 in deferred.pop(iterations[gate_idx], ()):  # noqa: B007
+                                    woken.add(enqueue(tid2))
+                        gate_val = (iterations[gate_idx]
+                                    if gate_idx < len(iterations) else (1 << 62))
+                    if stealing:
+                        # a stolen task frees a core on the thief, not
+                        # the owner; wakes stay with the owner
+                        wnode = ran_on.pop(tid, tnode)
+                        idle[wnode] += 1
+                        woken.add(wnode)
                     else:
-                        any_ready = False
-                        for dep in w_tasks[w_indptr[ref]:w_indptr[ref + 1]]:
-                            p = pending_l[dep] - 1
-                            pending_l[dep] = p
-                            if p == 0:
-                                heappush(rq, keys_l[dep])
-                                any_ready = True
-                        if any_ready and idl > 0:
-                            while idl > 0 and rq:
-                                tid2 = heappop(rq) & 0xFFFFFFFF
-                                idl -= 1
-                                dur = dur_l[tid2]
-                                busy[dst] += dur
-                                seq += 4
-                                heappush(events, (now + dur, seq, tid2))
-                            idle[dst] = idl
-                else:
-                    deliver(ref, dst, now)
+                        idle[tnode] += 1
+                    for n in sorted(woken):
+                        dispatch(n, now)
+            elif etype == _MSG_ARRIVE:
+                deliver(payload[0], payload[1], now)
             else:  # network-internal event (contention-model bookkeeping)
-                for ref, dst in model.on_internal(payload, now):
-                    deliver(ref, dst, now)
+                for uid, dst in model.on_internal(payload, now):
+                    deliver(uid, dst, now)
             # batch drain: keep popping while the head stays at ``now``
             if events and events[0][0] == now:
                 _, tag, payload = heappop(events)
@@ -685,24 +549,7 @@ def simulate(
 
     if completed != n_tasks:
         _raise_deadlock(graph, n_tasks, completed, pending_l, deferred)
-
-    net_stats = model.stats()
-    return ExecutionTrace(
-        cluster=cluster,
-        makespan=now,
-        total_flops=graph.total_flops,
-        n_tasks=n_tasks,
-        n_messages=model.n_messages,
-        bytes_sent=float(model.n_messages) * cluster.tile_bytes,
-        busy_time=np.asarray(busy, dtype=np.float64),
-        sent_messages=net_stats.msgs_sent,
-        task_records=records,
-        completion_times=completion,
-        network=model.name,
-        recv_messages=net_stats.msgs_recv,
-        net_stats=net_stats,
-        msg_records=model.msg_records,
-    )
+    return now, np.asarray(busy, dtype=np.float64), records, completion
 
 
 def _raise_deadlock(graph: TaskGraph, n_tasks: int, completed: int,

@@ -1,17 +1,18 @@
 """Golden equivalence locks for the batch-drained simulator hot path.
 
-These goldens were generated from the pre-batching event loop (PR 3's
-array hot path) and pin its canonical outputs for:
+These goldens were generated from the pre-batching array event loop
+and pin its canonical outputs for:
 
-* the no-record fast path (the one the batched loop and the compiled
-  backends replace) on both network models,
-* the recording path (``record_tasks=True``),
+* runs without recording (the compiled backend serves the ``nic``
+  ones) on both network models,
+* runs with ``record_tasks=True``, which take the same inlined
+  priority path with the recording hook set,
 * degraded runs under fail-stop and message-loss plans (the resilient
   loop of :mod:`repro.runtime.faults` shares the planner and delivery
   helpers).
 
-Any byte-level drift of the event schedule — from batch draining, bulk
-``heapify`` admission, the vectorized planner, or a compiled backend —
+Any byte-level drift of the event schedule — from batch draining, the
+uid-only message refs, the vectorized planner, or a compiled backend —
 fails here.  Regenerate only after an intentional behavior change::
 
     REGEN_GOLDEN=1 python -m pytest tests/runtime/test_batch_loop.py

@@ -2,7 +2,7 @@
 
 The vectorized LU/Cholesky builders emit whole-panel and
 whole-trailing-update array batches, while the frozen reference
-builders in :mod:`repro.runtime.objgraph` submit one task at a time.
+builders in ``tests/runtime/object_reference.py`` submit one task at a time.
 The refactor's core contract is that the two are **task-for-task
 identical** — same submission order, same kind/tile/iteration/node,
 same flops, same read refs in the same order, same write ref — so the
@@ -19,7 +19,7 @@ from repro.dla.cholesky import build_cholesky_graph, cholesky_task_count
 from repro.dla.lu import build_lu_graph, lu_task_count
 from repro.patterns.g2dbc import g2dbc
 from repro.patterns.gcrm import feasible_sizes, gcrm
-from repro.runtime.objgraph import (
+from tests.runtime.object_reference import (
     build_cholesky_graph_reference,
     build_lu_graph_reference,
 )

@@ -318,9 +318,9 @@ class TestForkJoin:
 class TestLargeGraphSmoke:
     """m = 48 end-to-end smoke on the array hot path (slow).
 
-    Exercises the fully inlined no-record fast loop (priority scheduler,
-    integer-coded message keys, heap bypass) at a size where the old
-    object-based preprocessing took seconds, and pins the global
+    Exercises the default no-record path (priority scheduler, uid
+    message refs; the compiled loop where it builds) at a size where the
+    old object-based preprocessing took seconds, and pins the global
     invariants the golden traces cannot cover at this scale.
     """
 

@@ -173,10 +173,33 @@ class TestSimulateCommand:
          "must be a positive integer, got '0'"),
         ("store query", "--budget", "-1",
          "must be a positive integer, got '-1'"),
+        ("simulate", "--nodes", "0", "must be a positive integer, got '0'"),
+        ("simulate", "--tiles", "0", "must be a positive integer, got '0'"),
+        ("simulate", "--topology", "0",
+         "must be a positive integer, got '0'"),
+        ("simulate", "--tile-size", "0",
+         "must be a positive integer, got '0'"),
+        ("simulate", "--faults", "fail:9@0.0",
+         "fault plan fails node 9 but -P is 5"),
+        ("campaign", "--nodes", "0", "must be a positive integer, got '0'"),
+        ("campaign", "--tiles", "-2", "must be a positive integer, got '-2'"),
+        ("campaign", "--topology", "0",
+         "must be a positive integer, got '0'"),
+        ("campaign", "--tile-size", "0",
+         "must be a positive integer, got '0'"),
+        ("pattern", "--nodes", "0", "must be a positive integer, got '0'"),
+        ("cost", "--nodes", "-3", "must be a positive integer, got '-3'"),
+        ("cost", "--tiles", "0", "must be a positive integer, got '0'"),
+        ("gcrm", "--topology", "0", "must be a positive integer, got '0'"),
+        ("store query", "--nodes", "0",
+         "must be a positive integer, got '0'"),
+        ("validate", "--tile-size", "0",
+         "must be a positive integer, got '0'"),
     ])
     def test_bad_spec_is_usage_error(self, capsys, cmd, flag, spec, message):
-        """Malformed specs and non-positive search budgets exit 2 with
-        one error line before any work runs, not with a traceback."""
+        """Malformed specs, non-positive sizes and search budgets, and
+        fault plans naming absent nodes exit 2 with one error line
+        before any work runs, not with a traceback."""
         base = {
             "simulate": ["-P", "5", "--tiles", "8"],
             "campaign": ["-P", "5", "--tiles", "8"],
@@ -186,6 +209,7 @@ class TestSimulateCommand:
             "db": ["--max-nodes", "4", "--out", "db.json"],
             "store precompute": ["--dir", "shards", "-P", "5"],
             "store query": ["--dir", "shards", "-P", "5"],
+            "validate": [],
         }[cmd]
         with pytest.raises(SystemExit) as exc:
             main(cmd.split() + base + [flag, spec])
@@ -194,8 +218,20 @@ class TestSimulateCommand:
         assert captured.out == ""
         errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
         assert len(errors) == 1
+        shown = "--nodes/-P" if flag == "--nodes" else flag
         assert errors[0].startswith(
-            f"repro {cmd}: error: argument {flag}: {message}")
+            f"repro {cmd}: error: argument {shown}: {message}")
+
+    def test_faults_with_resize_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "-P", "5", "--tiles", "8",
+                  "--faults", "fail:1@0.0", "--resize", "7@0.01"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+        assert errors == ["repro simulate: error: argument --resize: "
+                          "cannot be combined with --faults"]
 
     def test_resize_after_completion_prints_plain_run(self, capsys):
         """A resize past the plain run's makespan changes nothing."""
