@@ -23,7 +23,7 @@ import sys
 from typing import Optional, Sequence
 
 from .cost.metrics import q_cholesky, q_lu
-from .distribution import TileDistribution
+from .distribution import TileDistribution, distribution_error
 from .patterns.base import Pattern
 from .patterns.bc2d import bc2d_cost, best_grid
 from .patterns.g2dbc import g2dbc_cost
@@ -392,13 +392,23 @@ def cmd_simulate(args) -> int:
         if failure.node >= args.nodes:
             args.usage_error(f"argument --faults: fault plan fails node "
                              f"{failure.node} but -P is {args.nodes}")
-    pat = _get_pattern(args)
     writer = None
     if args.trace_out:
         from .runtime.tracefmt import ChromeTraceWriter
 
-        writer = ChromeTraceWriter(args.trace_out)
+        # opened before any work, so a bad path fails fast
+        try:
+            writer = ChromeTraceWriter(args.trace_out)
+        except OSError as exc:
+            args.usage_error(f"argument --trace-out: {exc}")
     try:
+        pat = _get_pattern(args)
+        reason = distribution_error(pat, symmetric=args.kernel == "cholesky")
+        if reason is not None:
+            args.usage_error(
+                f"argument --family: {args.family} gives a "
+                f"{pat.nrows}x{pat.ncols} pattern for P={args.nodes}, which "
+                f"--kernel {args.kernel} cannot use: {reason}")
         # an explicit --network always wins; with --topology > 1 and the
         # default "nic" the harness upgrades to the hierarchical model
         net = args.network

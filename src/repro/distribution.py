@@ -18,7 +18,17 @@ import numpy as np
 
 from .patterns.base import UNDEFINED, Pattern, PatternError
 
-__all__ = ["TileDistribution"]
+__all__ = ["TileDistribution", "distribution_error"]
+
+
+def distribution_error(pattern: Pattern, symmetric: bool) -> Optional[str]:
+    """Why ``pattern`` cannot back a (non-)symmetric distribution, or
+    ``None`` when it can."""
+    if symmetric and not pattern.is_square:
+        return "symmetric distributions require a square pattern"
+    if not symmetric and pattern.has_undefined:
+        return "non-symmetric distributions require a fully defined pattern"
+    return None
 
 
 class TileDistribution:
@@ -40,10 +50,9 @@ class TileDistribution:
     def __init__(self, pattern: Pattern, n_tiles: int, symmetric: bool = False):
         if n_tiles <= 0:
             raise ValueError("n_tiles must be positive")
-        if symmetric and not pattern.is_square:
-            raise PatternError("symmetric distributions require a square pattern")
-        if not symmetric and pattern.has_undefined:
-            raise PatternError("non-symmetric distributions require a fully defined pattern")
+        reason = distribution_error(pattern, symmetric)
+        if reason is not None:
+            raise PatternError(reason)
         self.pattern = pattern
         self.n_tiles = int(n_tiles)
         self.symmetric = bool(symmetric)

@@ -46,13 +46,30 @@ graph (asserted by the property tests).
 The model is deterministic: flows are started by scanning sender queues
 in ascending node id, and all events carry the simulator's global
 sequence number.
+
+Event economy
+-------------
+The fair-share state changes only when a flow's data stage begins
+(``"data"`` event) or a flow finishes (``"fin"`` event), and both
+handlers re-apportion the rates.  So at most one finish event is *live*
+at any time: the earliest one computed by the last re-apportioning.
+:meth:`ContentionModel._reschedule` pushes just that one, and the next
+re-apportioning invalidates it by bumping every active flow's version.
+A re-apportioning is one pass over the active flows — drain bytes at
+the old rates, set the new share of each flow's link (from per-link
+flow counts kept as flows join and leave), pick the earliest finish.
+Starting flows is incremental too (:meth:`ContentionModel._pump`): a
+send re-examines only its own sender and a finish only the freed sender
+and the senders blocked on the freed receiver.  Both keep the simulated
+schedule, and every record, identical to pushing one finish per active
+flow and scanning all ``P`` senders on every event.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -299,11 +316,16 @@ class NicModel(NetworkModel):
         )
 
 
+#: link key of the shared bisection link; an intra-node link is keyed
+#: by its machine id
+_BISECTION = -1
+
+
 class _Flow:
-    """One in-flight transfer of the contention model."""
+    """One in-flight transfer of the contention model, crossing ``link``."""
 
     __slots__ = ("ref", "src", "dst", "nbytes", "t0", "remaining", "rate",
-                 "version", "active")
+                 "version", "link")
 
     def __init__(self, ref: MsgRef, src: int, dst: int, nbytes: float, t0: float):
         self.ref = ref
@@ -314,7 +336,7 @@ class _Flow:
         self.remaining = nbytes
         self.rate = 0.0
         self.version = 0
-        self.active = False  # True once the data stage begins
+        self.link = _BISECTION
 
 
 class ContentionModel(NetworkModel):
@@ -358,11 +380,13 @@ class ContentionModel(NetworkModel):
                         else self.node_bw * max(1.0, P / 2.0))
         self.alpha = float(cl.latency_s)
         self._queues: List[deque] = [deque() for _ in range(P)]
-        self._tx_held = np.zeros(P, dtype=bool)
-        self._rx_held = np.zeros(P, dtype=bool)
-        self._flows: dict[int, _Flow] = {}
-        self._active: List[int] = []  # insertion-ordered active flow ids
-        self._next_fid = 0
+        self._tx_held = [False] * P
+        self._rx_held = [False] * P
+        # _blocked[dst]: senders with an idle NIC whose queue head waits
+        # for receiver ``dst`` (see _pump)
+        self._blocked: List[List[int]] = [[] for _ in range(P)]
+        self._active: List[_Flow] = []  # in data-stage start order
+        self._link_flows: Dict[int, int] = {}  # link -> active flows on it
         self._last_t = 0.0
         self.link_busy = 0.0
         self.link_bytes = 0.0
@@ -371,92 +395,141 @@ class ContentionModel(NetworkModel):
 
     # ------------------------------------------------------------------
     def send(self, ref: MsgRef, src: int, dst: int, t: float) -> None:
-        self._queues[src].append((ref, dst))
-        self._pump(t)
+        queue = self._queues[src]
+        queue.append((ref, dst))
+        if len(queue) == 1 and not self._tx_held[src]:
+            self._pump((src,), t)
 
-    def _pump(self, now: float) -> None:
-        """Start queued flows wherever both endpoint NICs are idle."""
-        for src in range(self.cluster.nnodes):
-            if self._tx_held[src] or not self._queues[src]:
+    def _pump(self, senders, now: float) -> None:
+        """Start the queue heads of ``senders`` whose endpoint NICs are idle.
+
+        ``senders`` is scanned in the order given, which callers keep
+        ascending in node id.  Invariant between events: no sender can
+        start a flow — each has a held NIC, an empty queue, or a queue
+        head whose receiver is held, and in the last case it is listed
+        in ``_blocked[receiver]``.  Starting a flow only holds NICs, so
+        a send can enable only its own sender (and only when its queue
+        was empty and its NIC idle), and a finish only the freed sender
+        and ``_blocked[freed receiver]``.  Scanning just those, in
+        ascending id, starts exactly the flows a scan over all ``P``
+        senders would, in the same order.
+        """
+        queues, rx_held = self._queues, self._rx_held
+        for src in senders:
+            queue = queues[src]
+            if not queue:
                 continue
-            ref, dst = self._queues[src][0]
-            if self._rx_held[dst]:
-                continue  # head-of-line blocking on the busy receiver
-            self._queues[src].popleft()
+            ref, dst = queue[0]
+            if rx_held[dst]:
+                # head-of-line blocking on the busy receiver
+                self._blocked[dst].append(src)
+                continue
+            queue.popleft()
             self._start_flow(ref, src, dst, now)
 
     def _start_flow(self, ref: MsgRef, src: int, dst: int, now: float) -> None:
         nbytes = float(self.cluster.tile_bytes)
+        flow = _Flow(ref, src, dst, nbytes, now)
+        alpha = self._classify(flow)
         eager = nbytes <= self.eager_threshold
-        lat = self.alpha if eager else self.alpha * (1 + self.handshake_rtts)
+        lat = alpha if eager else alpha * (1 + self.handshake_rtts)
         if eager:
             self.n_eager += 1
         else:
             self.n_rendezvous += 1
-        fid = self._next_fid
-        self._next_fid += 1
         self._tx_held[src] = True
         self._rx_held[dst] = True
-        self._flows[fid] = _Flow(ref, src, dst, nbytes, now)
         self.n_messages += 1
         self.msgs_sent[src] += 1
         self.bytes_sent[src] += nbytes
-        self.link_bytes += nbytes
-        self._push(now + lat, EVENT_NET_INTERNAL, ("data", fid))
+        self._push(now + lat, EVENT_NET_INTERNAL, ("data", flow))
+
+    def _classify(self, flow: _Flow) -> float:
+        """Account ``flow``'s traffic by link; return its latency α."""
+        self.link_bytes += flow.nbytes
+        return self.alpha
 
     # ------------------------------------------------------------------
-    def _advance(self, now: float) -> None:
-        """Drain bytes of the active flows up to ``now``."""
+    def _advance(self, now: float) -> float:
+        """Account link busy time up to ``now``; return the elapsed time."""
         dt = now - self._last_t
         if dt > 0.0 and self._active:
             self.link_busy += dt
-            for fid in self._active:
-                flow = self._flows[fid]
-                flow.remaining = max(0.0, flow.remaining - flow.rate * dt)
         self._last_t = max(self._last_t, now)
+        return dt
 
-    def _reschedule(self, now: float) -> None:
-        """Re-apportion fair shares and re-emit finish events."""
-        n = len(self._active)
-        if n == 0:
+    def _link_rates(self) -> Dict[int, float]:
+        """Fair share of each busy link: ``link -> per-flow rate``."""
+        return {_BISECTION: min(self.node_bw, self.link_bw / len(self._active))}
+
+    def _reschedule(self, now: float, dt: float) -> None:
+        """Drain ``dt`` seconds of the active flows at their old rates,
+        re-apportion the fair shares and push the next finish event.
+
+        Every ``"data"`` and ``"fin"`` handler re-apportions the rates,
+        so of the finishes computed here only the earliest can fire
+        before the next re-apportioning supersedes them all: the version
+        bump invalidates the pending one, and only the earliest new one
+        is pushed.  Pushing one finish per active flow would only add
+        stale events, popped and dropped one by one.  The earliest is the
+        first minimum of ``now + remaining / rate`` in ``_active`` order
+        (strict ``<``): the one that would have been pushed first among
+        the tied, and so popped first.  The pushes that remain keep their
+        relative order, so heap tie-breaks do not change.
+        """
+        if not self._active:
             return
-        rate = min(self.node_bw, self.link_bw / n)
-        for fid in self._active:
-            flow = self._flows[fid]
-            flow.rate = rate
+        rates = self._link_rates()
+        drain = dt > 0.0
+        first = None
+        t_first = 0.0
+        for flow in self._active:
+            if drain:
+                flow.remaining = max(0.0, flow.remaining - flow.rate * dt)
+            rate = flow.rate = rates[flow.link]
             flow.version += 1
-            self._push(now + flow.remaining / rate, EVENT_NET_INTERNAL,
-                       ("fin", fid, flow.version))
+            t = now + flow.remaining / rate
+            if first is None or t < t_first:
+                first, t_first = flow, t
+        self._push(t_first, EVENT_NET_INTERNAL, ("fin", first, first.version))
 
     def on_internal(self, payload, now: float) -> List[Tuple[MsgRef, int]]:
-        kind = payload[0]
-        if kind == "data":
-            fid = payload[1]
-            flow = self._flows[fid]
-            self._advance(now)
-            flow.active = True
-            self._active.append(fid)
-            self._reschedule(now)
+        flow = payload[1]
+        links = self._link_flows
+        if payload[0] == "data":
+            dt = self._advance(now)
+            self._active.append(flow)
+            links[flow.link] = links.get(flow.link, 0) + 1
+            self._reschedule(now, dt)
             return []
-        # ("fin", fid, version) — stale versions are lazily discarded
-        fid, version = payload[1], payload[2]
-        flow = self._flows.get(fid)
-        if flow is None or flow.version != version:
+        # ("fin", flow, version) — superseded versions are discarded
+        if flow.version != payload[2]:
             return []
-        self._advance(now)
-        self._active.remove(fid)
-        del self._flows[fid]
-        self._tx_held[flow.src] = False
-        self._rx_held[flow.dst] = False
+        dt = self._advance(now)
+        self._active.remove(flow)
+        left = links[flow.link] - 1
+        if left:
+            links[flow.link] = left
+        else:
+            del links[flow.link]
+        src, dst = flow.src, flow.dst
+        self._tx_held[src] = False
+        self._rx_held[dst] = False
         busy = now - flow.t0
-        self.tx_busy[flow.src] += busy
-        self.rx_busy[flow.dst] += busy
-        self.msgs_recv[flow.dst] += 1
-        self.bytes_recv[flow.dst] += flow.nbytes
-        self._record(flow.ref, flow.src, flow.dst, flow.t0, now, flow.nbytes)
-        self._reschedule(now)
-        self._pump(now)
-        return [(flow.ref, flow.dst)]
+        self.tx_busy[src] += busy
+        self.rx_busy[dst] += busy
+        self.msgs_recv[dst] += 1
+        self.bytes_recv[dst] += flow.nbytes
+        self._record(flow.ref, src, dst, flow.t0, now, flow.nbytes)
+        self._reschedule(now, dt)
+        blocked = self._blocked[dst]
+        if blocked:
+            self._blocked[dst] = []
+            blocked.append(src)
+            self._pump(sorted(blocked), now)
+        else:
+            self._pump((src,), now)
+        return [(flow.ref, dst)]
 
     def stats(self) -> NetworkStats:
         out = super().stats()
@@ -485,11 +558,11 @@ class HierarchicalModel(ContentionModel):
     each other.
 
     Injection/receive serialization, eager/rendezvous protocol choice,
-    and the deterministic pump order are inherited unchanged.  With
-    ``ranks_per_node == 1`` every flow is inter-node and the model's
-    event arithmetic reduces to the parent's — traces match
-    ``"contention"`` exactly apart from the recorded model name (pinned
-    by the hierarchical test suite).
+    the deterministic pump order and the one live finish event are
+    inherited unchanged.  With ``ranks_per_node == 1`` every flow is
+    inter-node and the model's event arithmetic reduces to the
+    parent's — traces match ``"contention"`` exactly apart from the
+    recorded model name (pinned by the hierarchical test suite).
 
     Per-level traffic (``intra_bytes``/``inter_bytes``, message counts,
     ``intra_link_busy`` in node-seconds) is surfaced in
@@ -517,7 +590,7 @@ class HierarchicalModel(ContentionModel):
         super()._bind()
         cl = self.cluster
         self.topology = cl.topology()
-        self._rank_nodes = self.topology.rank_nodes
+        self._rank_nodes = self.topology.rank_nodes.tolist()
         # the default bisection of a hierarchical fabric scales with the
         # number of *machines*, not ranks
         explicit = (self.bisection_Bps if self.bisection_Bps is not None
@@ -526,7 +599,6 @@ class HierarchicalModel(ContentionModel):
                         else self.node_bw * max(1.0, self.topology.nnodes / 2.0))
         self.intra_link_bw = self.node_bw * self.intra_bandwidth_scale
         self.intra_alpha = self.alpha * self.intra_latency_scale
-        self._flow_level: dict[int, Tuple[bool, int]] = {}  # fid -> (inter, node)
         self.intra_bytes = 0.0
         self.inter_bytes = 0.0
         self.intra_msgs = 0
@@ -534,81 +606,33 @@ class HierarchicalModel(ContentionModel):
         self.intra_link_busy = 0.0
 
     # ------------------------------------------------------------------
-    def _start_flow(self, ref: MsgRef, src: int, dst: int, now: float) -> None:
-        nbytes = float(self.cluster.tile_bytes)
-        src_node = int(self._rank_nodes[src])
-        inter = src_node != int(self._rank_nodes[dst])
-        alpha = self.alpha if inter else self.intra_alpha
-        eager = nbytes <= self.eager_threshold
-        lat = alpha if eager else alpha * (1 + self.handshake_rtts)
-        if eager:
-            self.n_eager += 1
-        else:
-            self.n_rendezvous += 1
-        fid = self._next_fid
-        self._next_fid += 1
-        self._tx_held[src] = True
-        self._rx_held[dst] = True
-        self._flows[fid] = _Flow(ref, src, dst, nbytes, now)
-        self._flow_level[fid] = (inter, src_node)
-        self.n_messages += 1
-        self.msgs_sent[src] += 1
-        self.bytes_sent[src] += nbytes
-        if inter:
+    def _classify(self, flow: _Flow) -> float:
+        node = self._rank_nodes[flow.src]
+        if node != self._rank_nodes[flow.dst]:
             self.inter_msgs += 1
-            self.inter_bytes += nbytes
-            self.link_bytes += nbytes
-        else:
-            self.intra_msgs += 1
-            self.intra_bytes += nbytes
-        self._push(now + lat, EVENT_NET_INTERNAL, ("data", fid))
+            self.inter_bytes += flow.nbytes
+            self.link_bytes += flow.nbytes
+            return self.alpha
+        flow.link = node
+        self.intra_msgs += 1
+        self.intra_bytes += flow.nbytes
+        return self.intra_alpha
 
-    def _advance(self, now: float) -> None:
+    def _advance(self, now: float) -> float:
         dt = now - self._last_t
         if dt > 0.0 and self._active:
-            inter_active = False
-            busy_nodes = set()
-            for fid in self._active:
-                flow = self._flows[fid]
-                flow.remaining = max(0.0, flow.remaining - flow.rate * dt)
-                inter, node = self._flow_level[fid]
-                if inter:
-                    inter_active = True
-                else:
-                    busy_nodes.add(node)
-            if inter_active:
+            busy_nodes = len(self._link_flows)
+            if _BISECTION in self._link_flows:
                 self.link_busy += dt
-            self.intra_link_busy += dt * len(busy_nodes)
+                busy_nodes -= 1
+            self.intra_link_busy += dt * busy_nodes
         self._last_t = max(self._last_t, now)
+        return dt
 
-    def _reschedule(self, now: float) -> None:
-        if not self._active:
-            return
-        n_inter = 0
-        per_node: dict[int, int] = {}
-        for fid in self._active:
-            inter, node = self._flow_level[fid]
-            if inter:
-                n_inter += 1
-            else:
-                per_node[node] = per_node.get(node, 0) + 1
-        for fid in self._active:
-            flow = self._flows[fid]
-            inter, node = self._flow_level[fid]
-            if inter:
-                rate = min(self.node_bw, self.link_bw / n_inter)
-            else:
-                rate = self.intra_link_bw / per_node[node]
-            flow.rate = rate
-            flow.version += 1
-            self._push(now + flow.remaining / rate, EVENT_NET_INTERNAL,
-                       ("fin", fid, flow.version))
-
-    def on_internal(self, payload, now: float) -> List[Tuple[MsgRef, int]]:
-        out = super().on_internal(payload, now)
-        if payload[0] != "data" and out:
-            self._flow_level.pop(payload[1], None)
-        return out
+    def _link_rates(self) -> Dict[int, float]:
+        return {link: (min(self.node_bw, self.link_bw / n) if link == _BISECTION
+                       else self.intra_link_bw / n)
+                for link, n in self._link_flows.items()}
 
     def stats(self) -> NetworkStats:
         out = super().stats()

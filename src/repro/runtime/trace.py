@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -18,9 +18,13 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["TaskRecord", "MsgRecord", "TraceWriter", "ExecutionTrace"]
 
 
-@dataclass(frozen=True)
-class TaskRecord:
-    """Start/end of one executed task (optional detailed tracing)."""
+class TaskRecord(NamedTuple):
+    """Start/end of one executed task (optional detailed tracing).
+
+    Records are named tuples: immutable, cheap to build (the recording
+    loop makes one per task) and equal to the plain tuple of their
+    fields.
+    """
 
     tid: int
     node: int
@@ -28,8 +32,7 @@ class TaskRecord:
     end: float
 
 
-@dataclass(frozen=True)
-class MsgRecord:
+class MsgRecord(NamedTuple):
     """One inter-node tile transfer (optional detailed tracing).
 
     ``start`` is when the message occupied its first network resource

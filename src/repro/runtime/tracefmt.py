@@ -8,6 +8,15 @@ slices, v2 traces also carry counter ("C") events: per-node running
 tasks, cumulative bytes sent per node, and — when the trace was
 produced by the contention network model — the number of flows in
 flight on the shared bisection link.
+
+:class:`ChromeTraceWriter` streams the same timeline during a run.  It
+buffers raw record fields and formats a flushed batch with one
+``%``-template per event kind (task slice, message slice, bytes-sent
+counter), naming the batch's tasks with one gather per graph column;
+the bytes equal one ``json.dumps`` per event, which the frozen writer
+in ``tests/runtime/chrome_reference.py`` pins.  Fault and resize
+events, rare and possibly holding ``inf``, still go through
+``json.dumps``.
 """
 
 from __future__ import annotations
@@ -18,7 +27,9 @@ import math
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from .graph import TaskGraph
+import numpy as np
+
+from .graph import KIND_NAMES, TaskGraph
 from .trace import ExecutionTrace, MsgRecord, TaskRecord, TraceWriter
 
 __all__ = ["to_chrome_trace", "save_chrome_trace", "text_gantt", "assign_lanes",
@@ -26,6 +37,19 @@ __all__ = ["to_chrome_trace", "save_chrome_trace", "text_gantt", "assign_lanes",
 
 #: pid used for the synthetic "network" process that carries link counters
 NETWORK_PID = 1 << 20
+
+
+def _take_lane(heap: List[tuple], start: float, end: float) -> int:
+    """Online lane packing: reuse the earliest-freed lane of ``heap``
+    (``(free_time, lane)`` entries, one per lane) if it is free by
+    ``start``, else open a new one; the lane is then busy until ``end``."""
+    if heap and heap[0][0] <= start + 1e-15:
+        lane = heap[0][1]
+        heapq.heapreplace(heap, (end, lane))
+    else:
+        lane = len(heap)
+        heapq.heappush(heap, (end, lane))
+    return lane
 
 
 def assign_lanes(records) -> Dict[int, int]:
@@ -41,16 +65,9 @@ def assign_lanes(records) -> Dict[int, int]:
     """
     lanes: Dict[int, int] = {}
     free_heap: Dict[int, List[tuple]] = {}
-    n_lanes: Dict[int, int] = {}
     for rec in sorted(records, key=lambda r: (r.start, r.end, r.tid)):
-        heap = free_heap.setdefault(rec.node, [])
-        if heap and heap[0][0] <= rec.start + 1e-15:
-            _, lane = heapq.heappop(heap)
-        else:
-            lane = n_lanes.get(rec.node, 0)
-            n_lanes[rec.node] = lane + 1
-        lanes[rec.tid] = lane
-        heapq.heappush(heap, (rec.end, lane))
+        lanes[rec.tid] = _take_lane(free_heap.setdefault(rec.node, []),
+                                    rec.start, rec.end)
     return lanes
 
 
@@ -249,13 +266,28 @@ def save_chrome_trace(trace: ExecutionTrace, path: Union[str, Path],
     Path(path).write_text(json.dumps({"traceEvents": to_chrome_trace(trace, graph)}))
 
 
+#: event kinds in the :class:`ChromeTraceWriter` buffer
+_TASK, _MSG, _SENT, _JSON = range(4)
+
+#: one ``%``-template per buffered kind; ``json.dumps`` field order and
+#: separators, floats filled in with ``float.__repr__`` (what
+#: ``json.dumps`` prints for finite floats) and ``→`` escaped as
+#: ``json.dumps`` escapes it
+_TASK_T = ('{"name": "%s", "cat": "task", "ph": "X", "ts": %s, "dur": %s, '
+           '"pid": %d, "tid": %d}')
+_MSG_T = ('{"name": "d%%dv%%d %%d\\u2192%%d", "cat": "msg", "ph": "X", '
+          '"ts": %%s, "dur": %%s, "pid": %d, "tid": %%d}' % NETWORK_PID)
+_SENT_T = ('{"name": "bytes_sent_total", "ph": "C", "ts": %s, "pid": %d, '
+           '"args": {"bytes": %s}}')
+
+
 class ChromeTraceWriter(TraceWriter):
     """Streaming Chrome-tracing JSON sink with bounded memory.
 
     Pass an instance as ``simulate(..., trace_writer=w)`` and every
-    task/message record is serialized the moment the simulator produces
-    it, buffered as an encoded string, and flushed to ``path`` every
-    ``buffer_events`` records — peak recording memory is the buffer, no
+    task/message record is buffered as raw fields the moment the
+    simulator produces it, and formatted and flushed to ``path`` every
+    ``buffer_events`` events — peak recording memory is the buffer, no
     matter how many million tasks run, where the list-accumulating
     ``record_tasks=True`` path grows with the task count.
 
@@ -284,58 +316,53 @@ class ChromeTraceWriter(TraceWriter):
         self.buffer_events = int(buffer_events)
         self.events_written = 0
         self.flushes = 0
-        self._buf: List[str] = []
+        self._buf: List[tuple] = []
         self._first = True
-        self._seen_pids: set = set()
         self._saw_msgs = False
-        self._lane_heap: Dict[int, List[tuple]] = {}
-        self._lane_count: Dict[int, int] = {}
+        #: per-node task lane heaps (their keys are the nodes seen) and
+        #: the message lane heap of the network process
+        self._task_lanes: Dict[int, List[tuple]] = {}
+        self._msg_lanes: List[tuple] = []
         self._cum_bytes: Dict[int, float] = {}
         self._fh = open(self.path, "w")
         self._fh.write('{"traceEvents": [')
 
     # ------------------------------------------------------------------
-    def _lane(self, pid: int, start: float, end: float) -> int:
-        heap = self._lane_heap.setdefault(pid, [])
-        if heap and heap[0][0] <= start + 1e-15:
-            _, lane = heapq.heappop(heap)
-        else:
-            lane = self._lane_count.get(pid, 0)
-            self._lane_count[pid] = lane + 1
-        heapq.heappush(heap, (end, lane))
-        return lane
-
-    def _emit(self, event: dict) -> None:
-        self._buf.append(json.dumps(event))
+    def _push(self, event: tuple) -> None:
+        self._buf.append(event)
         self.events_written += 1
         if len(self._buf) >= self.buffer_events:
             self.flush()
 
+    def _emit(self, event: dict) -> None:
+        self._push((_JSON, json.dumps(event)))
+
+    def _task_names(self, tids: List[int]) -> List[str]:
+        """Event names of a batch of tasks, one gather per column."""
+        if self.graph is None:
+            return ["task %d" % tid for tid in tids]
+        cols = self.graph.columns
+        idx = np.asarray(tids, dtype=np.int64)
+        return ["%s(%d,%d;k=%d)@%d" % (KIND_NAMES[kind], i, j, k, node)
+                for kind, i, j, k, node in zip(
+                    cols.kind[idx].tolist(), cols.i[idx].tolist(),
+                    cols.j[idx].tolist(), cols.k[idx].tolist(),
+                    cols.node[idx].tolist())]
+
     # ------------------------------------------------------------------
     def write_task(self, rec: TaskRecord) -> None:
-        self._seen_pids.add(rec.node)
-        name = (self.graph.task_label(rec.tid) if self.graph is not None
-                else f"task {rec.tid}")
-        self._emit({
-            "name": name, "cat": "task", "ph": "X",
-            "ts": rec.start * 1e6, "dur": (rec.end - rec.start) * 1e6,
-            "pid": rec.node, "tid": self._lane(rec.node, rec.start, rec.end),
-        })
+        tid, node, start, end = rec
+        lane = _take_lane(self._task_lanes.setdefault(node, []), start, end)
+        self._push((_TASK, tid, start, end, node, lane))
 
     def write_msg(self, rec: MsgRecord) -> None:
+        data, version, src, dst, start, end, nbytes = rec
         self._saw_msgs = True
-        cum = self._cum_bytes.get(rec.src, 0.0) + rec.nbytes
-        self._cum_bytes[rec.src] = cum
-        self._emit({
-            "name": f"d{rec.data}v{rec.version} {rec.src}→{rec.dst}",
-            "cat": "msg", "ph": "X",
-            "ts": rec.start * 1e6, "dur": (rec.end - rec.start) * 1e6,
-            "pid": NETWORK_PID,
-            "tid": self._lane(NETWORK_PID, rec.start, rec.end),
-        })
-        self._emit({"name": "bytes_sent_total", "ph": "C",
-                    "ts": rec.start * 1e6, "pid": rec.src,
-                    "args": {"bytes": cum}})
+        cum = self._cum_bytes.get(src, 0.0) + nbytes
+        self._cum_bytes[src] = cum
+        self._push((_MSG, data, version, src, dst, start, end,
+                    _take_lane(self._msg_lanes, start, end)))
+        self._push((_SENT, start, src, cum))
 
     def write_fault(self, event) -> None:
         node_scoped = event.node >= 0
@@ -371,19 +398,40 @@ class ChromeTraceWriter(TraceWriter):
 
     # ------------------------------------------------------------------
     def flush(self) -> None:
-        if not self._buf:
+        buf = self._buf
+        if not buf:
             return
-        chunk = ",".join(self._buf)
+        names = iter(self._task_names([ev[1] for ev in buf
+                                       if ev[0] == _TASK]))
+        fr = float.__repr__
+        parts = []
+        for ev in buf:
+            kind = ev[0]
+            if kind == _TASK:
+                _, _, start, end, pid, lane = ev
+                parts.append(_TASK_T % (next(names), fr(start * 1e6),
+                                        fr((end - start) * 1e6), pid, lane))
+            elif kind == _MSG:
+                _, data, version, src, dst, start, end, lane = ev
+                parts.append(_MSG_T % (data, version, src, dst,
+                                       fr(start * 1e6),
+                                       fr((end - start) * 1e6), lane))
+            elif kind == _SENT:
+                _, start, src, cum = ev
+                parts.append(_SENT_T % (fr(start * 1e6), src, fr(cum)))
+            else:
+                parts.append(ev[1])
+        chunk = ",".join(parts)
         self._fh.write(chunk if self._first else "," + chunk)
         self._first = False
-        self._buf.clear()
+        buf.clear()
         self._fh.flush()
         self.flushes += 1
 
     def close(self) -> None:
         if self._fh.closed:
             return
-        for node in sorted(self._seen_pids):
+        for node in sorted(self._task_lanes):
             self._emit({"name": "process_name", "ph": "M", "pid": node,
                         "args": {"name": f"node {node}"}})
         if self._saw_msgs:

@@ -181,6 +181,11 @@ class TestSimulateCommand:
          "must be a positive integer, got '0'"),
         ("simulate", "--faults", "fail:9@0.0",
          "fault plan fails node 9 but -P is 5"),
+        ("simulate", "--family", "g2dbc",
+         "g2dbc gives a 2x5 pattern for P=5, which --kernel cholesky "
+         "cannot use: symmetric distributions require a square pattern"),
+        ("simulate", "--trace-out", "/nonexistent/dir/t.json",
+         "[Errno 2] No such file or directory: '/nonexistent/dir/t.json'"),
         ("campaign", "--nodes", "0", "must be a positive integer, got '0'"),
         ("campaign", "--tiles", "-2", "must be a positive integer, got '-2'"),
         ("campaign", "--topology", "0",
@@ -197,9 +202,10 @@ class TestSimulateCommand:
          "must be a positive integer, got '0'"),
     ])
     def test_bad_spec_is_usage_error(self, capsys, cmd, flag, spec, message):
-        """Malformed specs, non-positive sizes and search budgets, and
-        fault plans naming absent nodes exit 2 with one error line
-        before any work runs, not with a traceback."""
+        """Malformed specs, non-positive sizes and search budgets, fault
+        plans naming absent nodes, an unwritable trace path and a family
+        whose pattern the kernel cannot use exit 2 with one error line,
+        not with a traceback."""
         base = {
             "simulate": ["-P", "5", "--tiles", "8"],
             "campaign": ["-P", "5", "--tiles", "8"],
@@ -211,8 +217,10 @@ class TestSimulateCommand:
             "store query": ["--dir", "shards", "-P", "5"],
             "validate": [],
         }[cmd]
+        # a family is judged against the kernel it is asked to serve
+        extra = ["--kernel", "cholesky"] if flag == "--family" else []
         with pytest.raises(SystemExit) as exc:
-            main(cmd.split() + base + [flag, spec])
+            main(cmd.split() + base + extra + [flag, spec])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
