@@ -200,6 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", metavar="DIR", default=None,
                    help="pattern-store directory (read-only in workers): "
                         "serve each family's patterns from warmed shards")
+    p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser("store",
                        help="disk-backed pattern store (shards + LRU)")
@@ -470,7 +471,8 @@ def cmd_simulate(args) -> int:
 def cmd_campaign(args) -> int:
     import csv
 
-    from .experiments.campaign import format_campaign, plan_campaign, run_campaign
+    from .experiments.campaign import (format_campaign, plan_campaign,
+                                       run_campaign, unusable_pattern)
 
     cells = plan_campaign(
         args.families, Ps=args.nodes, ms=args.tiles, networks=args.networks,
@@ -480,6 +482,13 @@ def cmd_campaign(args) -> int:
     if not cells:
         print("no feasible cells in the requested grid")
         return 1
+    bad = unusable_pattern(cells, store_dir=args.store)
+    if bad is not None:
+        cell, pat, reason = bad
+        args.usage_error(
+            f"argument --families: {cell.family} gives a "
+            f"{pat.nrows}x{pat.ncols} pattern for P={cell.P}, which "
+            f"--kernel {cell.kernel} cannot use: {reason}")
     rows = run_campaign(cells, jobs=args.jobs, tile_size=args.tile_size,
                         store_dir=args.store)
     print(format_campaign(rows))

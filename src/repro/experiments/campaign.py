@@ -37,7 +37,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..cost.exact import count_cholesky_messages, count_lu_messages
 from ..cost.schedbounds import schedule_lower_bounds
-from ..distribution import TileDistribution
+from ..distribution import TileDistribution, distribution_error
 from ..dla.cholesky import build_cholesky_graph
 from ..dla.lu import build_lu_graph
 from ..patterns.library import PATTERN_FAMILIES
@@ -272,6 +272,20 @@ def _build_pattern(family: str, P: int, kernel: str, store=None):
             pat = PATTERN_FAMILIES[family](P, kernel=kernel, jobs=1)
         _PATTERN_CACHE[key] = pat
     return pat
+
+
+def unusable_pattern(cells: Sequence[CampaignCell],
+                     store_dir: Optional[str] = None):
+    """``(cell, pattern, reason)`` for the first cell whose pattern its
+    kernel cannot use, else ``None`` (patterns land in the cache the
+    campaign then reuses)."""
+    store = _open_store(store_dir)
+    for cell in cells:
+        pattern = _build_pattern(cell.family, cell.P, cell.kernel, store=store)
+        reason = distribution_error(pattern, cell.kernel == "cholesky")
+        if reason is not None:
+            return cell, pattern, reason
+    return None
 
 
 def _graph_key(cell: CampaignCell) -> tuple:

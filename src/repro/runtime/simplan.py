@@ -4,21 +4,25 @@ The simulator needs four derived tables before its event loop can run:
 per-task prerequisite counts, the CSR table of *local* dependents, the
 inter-node message plan (which unique ``(data version, destination)``
 pairs must travel, who sends them, who waits on them), and the packed
-priority keys.  PR 3 derived these with a mix of vectorized passes and
-Python dict/list assembly inside ``simulate``; at m=128 that assembly
-(``tolist`` conversions, ``group_messages`` dict fills) costs more than
-the event loop itself.
-
-This module computes the same tables as pure NumPy arrays — a
+priority keys.  This module computes them as pure NumPy arrays — a
 :class:`SimPlan` — with **no Python loop over tasks, reads or
-messages**.  Every unique message gets a dense integer *uid*; the plan
-stores, per uid, its payload (``data``/``version``/``dst``/``src``) and
-two CSR tables: ``w_indptr``/``w_tasks`` (the consumers a delivery
-wakes, in read-scan order) and ``push_indptr``/``push_uids`` (the uids
-each producer pushes on completion, in first-occurrence scan order).
-Both orders replicate, entry for entry, the iteration orders of the old
-dict-based plan, so event schedules — and therefore golden traces —
-are byte-identical no matter which backend consumes the plan.
+messages**, and with one grouping per table.  Each read is classified
+once by its source node (its producer's, or its datum's home):
+
+* ``pending`` — one ``bincount`` of the local and message reads;
+* ``ld_indptr``/``ld_tasks`` — one stable argsort of the local reads
+  by producer;
+* ``msg_*`` and ``w_indptr``/``w_tasks`` — one stable argsort of the
+  message reads by ``(data, version, dst)`` code.  A run of equal codes
+  is one message; its rank is the *uid*, its first entry the first read
+  in flat order, and the sorted reads are the consumers a delivery
+  wakes, in read order;
+* ``push_indptr``/``push_uids`` (uids each producer pushes, in
+  first-occurrence order) and ``init_uids`` — small sorts of the uids.
+
+These orders replicate, entry for entry, those of the original
+dict-based plan, so event schedules — and therefore golden traces — are
+byte-identical no matter which backend consumes the plan.
 
 Plans depend only on the graph and the ``data_home`` vector (durations
 and node counts come from the cluster at simulation time), so they are
@@ -92,10 +96,8 @@ class SimPlan:
 def _csr(values: np.ndarray, groups: np.ndarray, n_groups: int):
     """Group ``values`` by small-int ``groups`` (stable): indptr + flat."""
     order = np.argsort(groups, kind="stable")
-    counts = np.bincount(groups, minlength=n_groups) if groups.size else \
-        np.zeros(n_groups, dtype=np.int64)
     indptr = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    np.cumsum(np.bincount(groups, minlength=n_groups), out=indptr[1:])
     return indptr, values[order]
 
 
@@ -111,55 +113,44 @@ def build_plan(graph: TaskGraph,
     rv = cols.read_version
     rnode = node_a[rt]            # consumer node per flat read
 
-    has_prod = rp >= 0
-    pnode = node_a[np.where(has_prod, rp, 0)]
-    is_local = has_prod & (pnode == rnode)
-    is_remote = has_prod & ~is_local
-    if data_home is None:
-        is_init = np.zeros(rd.shape, dtype=bool)
-        home_a = None
-    else:
-        home_a = np.asarray(data_home, dtype=np.int64)
-        is_init = ~has_prod & (home_a[rd] != rnode)
-
-    pending = np.bincount(rt[is_local | is_remote | is_init],
-                          minlength=n_tasks).astype(np.int64, copy=False)
-
+    # source node per read: the producer's node (rp == -1 picks the
+    # appended -1), or the home of a version-0 read (its reader's node
+    # when homes are unknown: version 0 is then free)
+    src = np.append(node_a, -1)[rp]
+    is_local = src == rnode
+    v0 = rp < 0
+    src[v0] = rnode[v0] if data_home is None else \
+        np.asarray(data_home, dtype=np.int64)[rd[v0]]
+    mask = src != rnode           # remote reads and version-0 fetches
+    pending = np.bincount(rt[is_local | mask], minlength=n_tasks)
     ld_indptr, ld_tasks = _csr(rt[is_local], rp[is_local], n_tasks)
-
     keys = ((cols.k << 40) | (cols.kind.astype(np.int64) << 32)
             | np.arange(n_tasks, dtype=np.int64))
 
-    # ------------------------------------------------------------------
-    # message plan: one uid per unique (data, version, dst) among the
-    # remote and init reads.  A single grouping pass covers both classes
-    # (their (data, version) sets are disjoint: a version either has a
-    # producer or it does not), and masked selection preserves flat read
-    # order, so first-occurrence comparisons within the combined mask
-    # equal those within each class alone.
-    # ------------------------------------------------------------------
+    # message plan: uids number the unique (data, version, dst) codes of
+    # the message reads in code order.  The stable argsort of the codes
+    # is the only grouping: a run's first entry is the uid's first read
+    # in flat order, and the sorted reads are its waiters in read order.
     M = int(rv.max()) + 1 if rv.size else 1
     N = int(node_a.max()) + 1 if node_a.size else 1
-    mask = is_remote | is_init
-    codes = (rd[mask] * M + rv[mask]) * N + rnode[mask]
-    uniq, first, inv = np.unique(codes, return_index=True,
-                                 return_inverse=True)
+    sel = np.flatnonzero(mask)
+    codes = (rd[sel] * M + rv[sel]) * N + rnode[sel]
+    del v0, mask, rnode
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    sel = sel[order]              # flat read index, grouped by uid
+    heads = np.flatnonzero(np.diff(codes, prepend=-1) != 0)
+    uniq = codes[heads]
     n_msgs = int(uniq.size)
     msg_dst = uniq % N
-    refc = uniq // N
-    msg_version = refc % M
-    msg_data = refc // M
-    msg_producer = rp[mask][first]
+    msg_version = uniq // N % M
+    msg_data = uniq // N // M
+    first = sel[heads]            # flat index of each uid's first read
+    msg_producer = rp[first]
+    msg_src = src[first]
     remote = msg_producer >= 0
-    if home_a is None:
-        msg_src = np.where(remote, node_a[np.where(remote, msg_producer, 0)],
-                           -1)
-    else:
-        msg_src = np.where(remote, node_a[np.where(remote, msg_producer, 0)],
-                           home_a[msg_data])
-
-    # waiters per uid, flat-read order within a uid
-    w_indptr, w_tasks = _csr(rt[mask], inv, n_msgs)
+    w_indptr = np.append(heads, sel.size)
+    w_tasks = rt[sel]
 
     # push plan: remote uids in global first-occurrence order, stably
     # grouped by producer — the exact per-producer push order of the old

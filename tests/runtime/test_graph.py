@@ -150,3 +150,59 @@ class TestMessageCountSinglePass:
         assert graph.message_count() > 0
         # exactly one batched producer lookup, no per-task fallback scan
         assert calls["producer_for"] == 1
+
+
+class TestAppendBatchDuplicates:
+    """``append_batch`` derives each write version as ``current + 1``,
+    so a batch that writes one datum twice is rejected before anything
+    is appended."""
+
+    MSG = "append_batch writes a datum twice in one batch"
+
+    @staticmethod
+    def _append(g, writes):
+        B = len(writes)
+        g.append_batch(kind=TaskKind.GEMM, i=0, j=0, k=0, node=0, flops=1.0,
+                       read_data=writes, read_version=[g.version(d)
+                                                       for d in writes],
+                       read_counts=[1] * B, write_data=writes)
+
+    @staticmethod
+    def _state(g):
+        cols = g.columns
+        return (len(g), g._gen, g.total_flops,
+                [g.version(d) for d in range(g.n_data)],
+                [getattr(cols, f).tolist() for f in
+                 ("kind", "write_data", "write_version", "read_indptr",
+                  "read_data", "read_version")])
+
+    @pytest.mark.parametrize("writes", [
+        [3, 3],                  # batch of size 2
+        [5, 1, 2, 5, 7],         # duplicate at the first position
+        [1, 4, 0, 4, 6],         # duplicate in the middle
+        [0, 2, 6, 1, 1],         # duplicate at the last position
+        [2, 2, 2],
+    ], ids=["size2", "first", "middle", "last", "triple"])
+    def test_duplicate_rejected_graph_unchanged(self, writes):
+        g = TaskGraph(n_data=8, nnodes=2)
+        self._append(g, [0, 1, 2])
+        g.submit(TaskKind.GEMM, 0, 0, 1, 0, 2.0, (g.current(3),), 3)
+        before = self._state(g)
+        with pytest.raises(ValueError, match=self.MSG):
+            self._append(g, writes)
+        assert self._state(g) == before
+
+    def test_rewrite_in_later_batch_accepted(self):
+        g = TaskGraph(n_data=4, nnodes=2)
+        self._append(g, [0, 1, 2])
+        self._append(g, [2, 0])
+        self._append(g, [0])
+        cols = g.columns
+        assert cols.write_data.tolist() == [0, 1, 2, 2, 0, 0]
+        assert cols.write_version.tolist() == [1, 1, 1, 2, 2, 3]
+        g.validate()
+
+    def test_distinct_writes_accepted(self):
+        g = TaskGraph(n_data=4, nnodes=2)
+        self._append(g, [3, 0, 2, 1])
+        assert g.columns.write_version.tolist() == [1, 1, 1, 1]

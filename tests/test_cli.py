@@ -186,6 +186,9 @@ class TestSimulateCommand:
          "cannot use: symmetric distributions require a square pattern"),
         ("simulate", "--trace-out", "/nonexistent/dir/t.json",
          "[Errno 2] No such file or directory: '/nonexistent/dir/t.json'"),
+        ("campaign", "--families", "g2dbc",
+         "g2dbc gives a 2x5 pattern for P=5, which --kernel cholesky "
+         "cannot use: symmetric distributions require a square pattern"),
         ("campaign", "--nodes", "0", "must be a positive integer, got '0'"),
         ("campaign", "--tiles", "-2", "must be a positive integer, got '-2'"),
         ("campaign", "--topology", "0",
@@ -218,7 +221,8 @@ class TestSimulateCommand:
             "validate": [],
         }[cmd]
         # a family is judged against the kernel it is asked to serve
-        extra = ["--kernel", "cholesky"] if flag == "--family" else []
+        extra = ["--kernel", "cholesky"] \
+            if flag in ("--family", "--families") else []
         with pytest.raises(SystemExit) as exc:
             main(cmd.split() + base + extra + [flag, spec])
         assert exc.value.code == 2
